@@ -28,15 +28,6 @@
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 bool WriteFile(const std::string& path, const std::string& body) {
   std::ofstream out(path);
   if (!out) {
@@ -135,7 +126,7 @@ int main(int argc, char** argv) {
   }
   const std::string json =
       "{\n\"config\": {\"threads\": " + std::to_string(flags.threads) +
-      ", \"fault_spec\": \"" + JsonEscape(flags.fault_spec) +
+      ", \"fault_spec\": \"" + exearth::common::JsonEscape(flags.fault_spec) +
       "\", \"fault_seed\": " + std::to_string(flags.fault_seed) +
       ", \"deadline_us\": " + std::to_string(flags.deadline_us) +
       ", \"seed\": " + std::to_string(flags.seed) +

@@ -68,8 +68,8 @@ std::vector<raster::SceneMetadata> SemanticCatalogue::Search(
   SearchStats st;
   std::vector<size_t> candidate_ids;
   if (request.area.has_value()) {
-    product_index_.Visit(*request.area, [&](const geo::RTree::Entry& e) {
-      candidate_ids.push_back(static_cast<size_t>(e.id));
+    product_index_.VisitWith(*request.area, [&](int64_t id) {
+      candidate_ids.push_back(static_cast<size_t>(id));
       return true;
     });
     std::sort(candidate_ids.begin(), candidate_ids.end());

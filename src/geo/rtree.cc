@@ -2,292 +2,114 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <queue>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "storage/page_chain.h"
 
 namespace exearth::geo {
 
-struct RTree::Node {
-  bool is_leaf = true;
-  Box box;  // covers all children / entries
-  std::vector<Entry> entries;                  // when leaf
-  std::vector<std::unique_ptr<Node>> children; // when internal
-
-  void RecomputeBox() {
-    box = Box{};
-    if (is_leaf) {
-      for (const Entry& e : entries) box.ExpandToInclude(e.box);
-    } else {
-      for (const auto& c : children) box.ExpandToInclude(c->box);
-    }
-  }
-};
-
-RTree::RTree() : root_(std::make_unique<Node>()) {}
-RTree::~RTree() = default;
-RTree::RTree(RTree&&) noexcept = default;
-RTree& RTree::operator=(RTree&&) noexcept = default;
-
 namespace {
 
-using Node = RTree::Node;
+// A node of one STR level under construction: its envelope and the
+// contiguous [first, first + count) range it packs from the level below
+// (from the sorted entries, for leaves).
+struct PackedNode {
+  Box box;
+  uint32_t first = 0;
+  uint32_t count = 0;
+};
 
-// Chooses the child whose box needs least enlargement to include `box`.
-Node* ChooseSubtree(Node* node, const Box& box) {
-  Node* best = nullptr;
-  double best_enlargement = std::numeric_limits<double>::max();
-  double best_area = std::numeric_limits<double>::max();
-  for (const auto& c : node->children) {
-    double enlargement = c->box.EnlargementToInclude(box);
-    double area = c->box.Area();
-    if (enlargement < best_enlargement ||
-        (enlargement == best_enlargement && area < best_area)) {
-      best = c.get();
-      best_enlargement = enlargement;
-      best_area = area;
-    }
-  }
-  return best;
-}
-
-// Quadratic split of an overfull leaf's entries into two groups.
-template <typename T, typename BoxOf>
-std::pair<std::vector<T>, std::vector<T>> QuadraticSplit(std::vector<T> items,
-                                                         BoxOf box_of) {
-  // Pick the pair of seeds wasting the most area together.
-  size_t seed_a = 0;
-  size_t seed_b = 1;
-  double worst = -1.0;
-  for (size_t i = 0; i < items.size(); ++i) {
-    for (size_t j = i + 1; j < items.size(); ++j) {
-      Box merged = box_of(items[i]);
-      merged.ExpandToInclude(box_of(items[j]));
-      double waste =
-          merged.Area() - box_of(items[i]).Area() - box_of(items[j]).Area();
-      if (waste > worst) {
-        worst = waste;
-        seed_a = i;
-        seed_b = j;
+// One Sort-Tile-Recursive pass: sorts `items` by envelope-centre x, cuts
+// them into ceil(sqrt(parents)) vertical strips, sorts each strip by
+// centre y and packs runs of kMaxEntries into parents. The returned
+// ranges index `items` in its new, permuted order.
+template <typename T>
+std::vector<PackedNode> PackLevel(std::vector<T>* items) {
+  const size_t cap = RTree::kMaxEntries;
+  const size_t n = items->size();
+  std::sort(items->begin(), items->end(), [](const T& a, const T& b) {
+    return a.box.Center().x < b.box.Center().x;
+  });
+  const size_t num_parents = (n + cap - 1) / cap;
+  const size_t strips = static_cast<size_t>(
+      std::ceil(std::sqrt(static_cast<double>(num_parents))));
+  const size_t strip_size = (n + strips - 1) / strips;
+  std::vector<PackedNode> parents;
+  parents.reserve(num_parents + strips);
+  for (size_t begin = 0; begin < n; begin += strip_size) {
+    const size_t end = std::min(begin + strip_size, n);
+    std::sort(items->begin() + begin, items->begin() + end,
+              [](const T& a, const T& b) {
+                return a.box.Center().y < b.box.Center().y;
+              });
+    for (size_t i = begin; i < end; i += cap) {
+      PackedNode parent;
+      parent.first = static_cast<uint32_t>(i);
+      parent.count = static_cast<uint32_t>(std::min(i + cap, end) - i);
+      for (size_t j = i; j < i + parent.count; ++j) {
+        parent.box.ExpandToInclude((*items)[j].box);
       }
+      parents.push_back(parent);
     }
   }
-  std::vector<T> group_a;
-  std::vector<T> group_b;
-  Box box_a = box_of(items[seed_a]);
-  Box box_b = box_of(items[seed_b]);
-  group_a.push_back(std::move(items[seed_a]));
-  group_b.push_back(std::move(items[seed_b]));
-  std::vector<T> rest;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i != seed_a && i != seed_b) rest.push_back(std::move(items[i]));
-  }
-  const size_t min_fill = RTree::kMinEntries;
-  for (auto& item : rest) {
-    const size_t remaining =
-        rest.size() - (group_a.size() + group_b.size() - 2);
-    // Force-assign when one group must take everything left to reach the
-    // minimum fill.
-    if (group_a.size() + remaining <= min_fill) {
-      box_a.ExpandToInclude(box_of(item));
-      group_a.push_back(std::move(item));
-      continue;
-    }
-    if (group_b.size() + remaining <= min_fill) {
-      box_b.ExpandToInclude(box_of(item));
-      group_b.push_back(std::move(item));
-      continue;
-    }
-    double da = box_a.EnlargementToInclude(box_of(item));
-    double db = box_b.EnlargementToInclude(box_of(item));
-    if (da < db || (da == db && group_a.size() <= group_b.size())) {
-      box_a.ExpandToInclude(box_of(item));
-      group_a.push_back(std::move(item));
-    } else {
-      box_b.ExpandToInclude(box_of(item));
-      group_b.push_back(std::move(item));
-    }
-  }
-  return {std::move(group_a), std::move(group_b)};
-}
-
-// Splits an overfull node, returning the new sibling.
-std::unique_ptr<Node> SplitNode(Node* node) {
-  auto sibling = std::make_unique<Node>();
-  sibling->is_leaf = node->is_leaf;
-  if (node->is_leaf) {
-    auto [a, b] = QuadraticSplit(std::move(node->entries),
-                                 [](const RTree::Entry& e) { return e.box; });
-    node->entries = std::move(a);
-    sibling->entries = std::move(b);
-  } else {
-    auto [a, b] =
-        QuadraticSplit(std::move(node->children),
-                       [](const std::unique_ptr<Node>& c) { return c->box; });
-    node->children = std::move(a);
-    sibling->children = std::move(b);
-  }
-  node->RecomputeBox();
-  sibling->RecomputeBox();
-  return sibling;
-}
-
-// Inserts into the subtree; returns a new sibling if `node` split.
-std::unique_ptr<Node> InsertInto(Node* node, const Box& box, int64_t id) {
-  node->box.ExpandToInclude(box);
-  if (node->is_leaf) {
-    node->entries.push_back(RTree::Entry{box, id});
-    if (node->entries.size() > RTree::kMaxEntries) return SplitNode(node);
-    return nullptr;
-  }
-  Node* child = ChooseSubtree(node, box);
-  std::unique_ptr<Node> new_child = InsertInto(child, box, id);
-  if (new_child != nullptr) {
-    node->children.push_back(std::move(new_child));
-    if (node->children.size() > RTree::kMaxEntries) return SplitNode(node);
-  }
-  return nullptr;
-}
-
-int HeightOf(const Node* node) {
-  if (node->is_leaf) return 1;
-  return 1 + HeightOf(node->children[0].get());
+  return parents;
 }
 
 }  // namespace
-
-void RTree::Insert(const Box& box, int64_t id) {
-  // Writes go to the incremental tree; the frozen arena is stale until the
-  // next Freeze().
-  frozen_ = false;
-  flat_nodes_.clear();
-  flat_entries_.clear();
-  node_env_.Clear();
-  entry_env_.Clear();
-  std::unique_ptr<Node> sibling = InsertInto(root_.get(), box, id);
-  if (sibling != nullptr) {
-    auto new_root = std::make_unique<Node>();
-    new_root->is_leaf = false;
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(sibling));
-    new_root->RecomputeBox();
-    root_ = std::move(new_root);
-  }
-  ++size_;
-}
 
 RTree RTree::BulkLoad(std::vector<Entry> entries) {
   RTree tree;
   tree.size_ = entries.size();
   if (entries.empty()) return tree;
 
-  // Sort-Tile-Recursive: sort by x center, slice into vertical strips, sort
-  // each strip by y center, pack runs of kMaxEntries into leaves; then
-  // repeat one level up until a single root remains.
-  const size_t leaf_cap = kMaxEntries;
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    return a.box.Center().x < b.box.Center().x;
-  });
-  const size_t n = entries.size();
-  const size_t num_leaves = (n + leaf_cap - 1) / leaf_cap;
-  const size_t strips =
-      static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(num_leaves))));
-  const size_t strip_size = (n + strips - 1) / strips;
-
-  std::vector<std::unique_ptr<Node>> level;
-  for (size_t s = 0; s < strips; ++s) {
-    size_t begin = s * strip_size;
-    if (begin >= n) break;
-    size_t end = std::min(begin + strip_size, n);
-    std::sort(entries.begin() + begin, entries.begin() + end,
-              [](const Entry& a, const Entry& b) {
-                return a.box.Center().y < b.box.Center().y;
-              });
-    for (size_t i = begin; i < end; i += leaf_cap) {
-      auto leaf = std::make_unique<Node>();
-      leaf->is_leaf = true;
-      size_t leaf_end = std::min(i + leaf_cap, end);
-      leaf->entries.assign(entries.begin() + i, entries.begin() + leaf_end);
-      leaf->RecomputeBox();
-      level.push_back(std::move(leaf));
-    }
+  // levels[0] packs the entries into leaves; each level above packs the
+  // one below until a single root remains.
+  std::vector<std::vector<PackedNode>> levels;
+  levels.push_back(PackLevel(&entries));
+  size_t node_count = levels.back().size();
+  while (levels.back().size() > 1) {
+    std::vector<PackedNode> up = PackLevel(&levels.back());
+    node_count += up.size();
+    levels.push_back(std::move(up));
   }
 
-  while (level.size() > 1) {
-    std::vector<std::unique_ptr<Node>> next;
-    std::sort(level.begin(), level.end(),
-              [](const std::unique_ptr<Node>& a, const std::unique_ptr<Node>& b) {
-                return a->box.Center().x < b->box.Center().x;
-              });
-    const size_t m = level.size();
-    const size_t num_parents = (m + kMaxEntries - 1) / kMaxEntries;
-    const size_t pstrips = static_cast<size_t>(
-        std::ceil(std::sqrt(static_cast<double>(num_parents))));
-    const size_t pstrip_size = (m + pstrips - 1) / pstrips;
-    for (size_t s = 0; s < pstrips; ++s) {
-      size_t begin = s * pstrip_size;
-      if (begin >= m) break;
-      size_t end = std::min(begin + pstrip_size, m);
-      std::sort(level.begin() + begin, level.begin() + end,
-                [](const std::unique_ptr<Node>& a,
-                   const std::unique_ptr<Node>& b) {
-                  return a->box.Center().y < b->box.Center().y;
-                });
-      for (size_t i = begin; i < end; i += kMaxEntries) {
-        auto parent = std::make_unique<Node>();
-        parent->is_leaf = false;
-        size_t pend = std::min(i + static_cast<size_t>(kMaxEntries), end);
-        for (size_t j = i; j < pend; ++j) {
-          parent->children.push_back(std::move(level[j]));
+  // Write the levels out breadth-first from the root. Every leaf sits on
+  // level 0, so a level's nodes are written in the order their parents
+  // listed them, and a node's children land at consecutive indices.
+  tree.nodes_.reserve(node_count);
+  tree.node_env_.Reserve(node_count);
+  tree.ids_.reserve(entries.size());
+  tree.entry_env_.Reserve(entries.size());
+  std::vector<uint32_t> order = {0};  // this level's nodes, in output order
+  uint32_t next_child = 1;
+  for (size_t l = levels.size(); l-- > 0;) {
+    std::vector<uint32_t> below;
+    for (uint32_t idx : order) {
+      const PackedNode& packed = levels[l][idx];
+      FlatNode node;
+      node.count = static_cast<uint16_t>(packed.count);
+      node.leaf = l == 0 ? 1 : 0;
+      if (l == 0) {
+        node.first = static_cast<uint32_t>(tree.ids_.size());
+        for (uint32_t j = packed.first; j < packed.first + packed.count; ++j) {
+          tree.ids_.push_back(entries[j].id);
+          tree.entry_env_.PushBack(entries[j].box);
         }
-        parent->RecomputeBox();
-        next.push_back(std::move(parent));
-      }
-    }
-    level = std::move(next);
-  }
-  tree.root_ = std::move(level[0]);
-  tree.Freeze();
-  return tree;
-}
-
-void RTree::Freeze() {
-  if (frozen_) return;
-  flat_nodes_.clear();
-  flat_entries_.clear();
-  node_env_.Clear();
-  entry_env_.Clear();
-  if (size_ > 0) {
-    // Breadth-first layout: when a node is processed its children are
-    // appended consecutively, so one (first, count) pair addresses them
-    // and sibling subtrees stay adjacent in memory.
-    std::vector<const Node*> bfs = {root_.get()};
-    flat_nodes_.reserve(size_ / kMinEntries + 2);
-    flat_entries_.reserve(size_);
-    entry_env_.Reserve(size_);
-    for (size_t i = 0; i < bfs.size(); ++i) {
-      const Node* n = bfs[i];
-      FlatNode fn;
-      fn.box = n->box;
-      fn.leaf = n->is_leaf ? 1 : 0;
-      if (n->is_leaf) {
-        fn.first = static_cast<uint32_t>(flat_entries_.size());
-        fn.count = static_cast<uint16_t>(n->entries.size());
-        flat_entries_.insert(flat_entries_.end(), n->entries.begin(),
-                             n->entries.end());
-        for (const Entry& e : n->entries) entry_env_.PushBack(e.box);
       } else {
-        fn.first = static_cast<uint32_t>(bfs.size());
-        fn.count = static_cast<uint16_t>(n->children.size());
-        for (const auto& c : n->children) bfs.push_back(c.get());
+        node.first = next_child;
+        next_child += packed.count;
+        for (uint32_t j = packed.first; j < packed.first + packed.count; ++j) {
+          below.push_back(j);
+        }
       }
-      flat_nodes_.push_back(fn);
-      node_env_.PushBack(fn.box);
+      tree.nodes_.push_back(node);
+      tree.node_env_.PushBack(packed.box);
     }
+    order = std::move(below);
   }
-  frozen_ = true;
+  return tree;
 }
 
 namespace {
@@ -312,50 +134,31 @@ common::Status ReadBox(storage::PageChainReader* r, Box* b) {
   return common::Status::OK();
 }
 
-// Rebuilds the pointer tree for flat node `idx` (children of internal
-// nodes are the contiguous [first, first+count) flat range).
-std::unique_ptr<Node> RebuildNode(const std::vector<RTree::FlatNode>& nodes,
-                                  const std::vector<RTree::Entry>& entries,
-                                  uint32_t idx) {
-  const RTree::FlatNode& fn = nodes[idx];
-  auto node = std::make_unique<Node>();
-  node->box = fn.box;
-  node->is_leaf = fn.leaf != 0;
-  if (node->is_leaf) {
-    node->entries.assign(entries.begin() + fn.first,
-                         entries.begin() + fn.first + fn.count);
-  } else {
-    node->children.reserve(fn.count);
-    for (uint16_t c = 0; c < fn.count; ++c) {
-      node->children.push_back(RebuildNode(nodes, entries, fn.first + c));
-    }
-  }
-  return node;
+common::Status Corrupt(const char* what) {
+  return common::Status::IOError(
+      common::StrFormat("OpenFrozen: corrupt frozen r-tree (%s)", what));
 }
 
 }  // namespace
 
 common::Status RTree::FreezeTo(storage::BufferPool* pool,
                                storage::PageId* head) const {
-  if (!frozen_) {
-    return common::Status::FailedPrecondition(
-        "FreezeTo requires a frozen tree (call Freeze() first)");
-  }
   storage::PageChainWriter w(pool, /*lsn=*/0);
   EEA_RETURN_NOT_OK(w.WriteU64(kFrozenMagic));
   EEA_RETURN_NOT_OK(w.WriteU32(kFrozenVersion));
   EEA_RETURN_NOT_OK(w.WriteU64(size_));
-  EEA_RETURN_NOT_OK(w.WriteU64(flat_nodes_.size()));
-  EEA_RETURN_NOT_OK(w.WriteU64(flat_entries_.size()));
-  for (const FlatNode& fn : flat_nodes_) {
-    EEA_RETURN_NOT_OK(WriteBox(&w, fn.box));
-    EEA_RETURN_NOT_OK(w.WriteU32(fn.first));
-    EEA_RETURN_NOT_OK(w.WriteU32(static_cast<uint32_t>(fn.count) |
-                                 (static_cast<uint32_t>(fn.leaf) << 16)));
+  EEA_RETURN_NOT_OK(w.WriteU64(nodes_.size()));
+  EEA_RETURN_NOT_OK(w.WriteU64(ids_.size()));
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const FlatNode& node = nodes_[i];
+    EEA_RETURN_NOT_OK(WriteBox(&w, node_env_.At(i)));
+    EEA_RETURN_NOT_OK(w.WriteU32(node.first));
+    EEA_RETURN_NOT_OK(w.WriteU32(static_cast<uint32_t>(node.count) |
+                                 (static_cast<uint32_t>(node.leaf) << 16)));
   }
-  for (const Entry& e : flat_entries_) {
-    EEA_RETURN_NOT_OK(WriteBox(&w, e.box));
-    EEA_RETURN_NOT_OK(w.WriteU64(std::bit_cast<uint64_t>(e.id)));
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    EEA_RETURN_NOT_OK(WriteBox(&w, entry_env_.At(i)));
+    EEA_RETURN_NOT_OK(w.WriteU64(std::bit_cast<uint64_t>(ids_[i])));
   }
   EEA_ASSIGN_OR_RETURN(*head, w.Finish());
   return common::Status::OK();
@@ -379,123 +182,105 @@ common::Result<RTree> RTree::OpenFrozen(storage::BufferPool* pool,
   EEA_ASSIGN_OR_RETURN(uint64_t size, r.ReadU64());
   EEA_ASSIGN_OR_RETURN(uint64_t node_count, r.ReadU64());
   EEA_ASSIGN_OR_RETURN(uint64_t entry_count, r.ReadU64());
+  if (size != entry_count) return Corrupt("size differs from entry count");
+
+  // The counts come from disk, so nothing is reserved from them: nodes
+  // are read one at a time and checked to be the breadth-first layout
+  // BulkLoad writes — internal child ranges tiling [1, node_count), leaf
+  // ranges tiling [0, entry_count), both in order, at most kMaxHeight
+  // levels. That bounds every later traversal, and entry_count, once it
+  // equals the leaves' total, is safe to reserve.
   RTree tree;
   tree.size_ = size;
-  tree.flat_nodes_.reserve(node_count);
-  tree.flat_entries_.reserve(entry_count);
-  tree.entry_env_.Reserve(entry_count);
+  uint64_t next_child = 1;
+  uint64_t next_entry = 0;
+  uint64_t level_end = 1;  // one past the last node of the current level
+  int height = 1;
   for (uint64_t i = 0; i < node_count; ++i) {
-    FlatNode fn;
-    EEA_RETURN_NOT_OK(ReadBox(&r, &fn.box));
-    EEA_ASSIGN_OR_RETURN(fn.first, r.ReadU32());
+    Box box;
+    EEA_RETURN_NOT_OK(ReadBox(&r, &box));
+    FlatNode node;
+    EEA_ASSIGN_OR_RETURN(node.first, r.ReadU32());
     EEA_ASSIGN_OR_RETURN(uint32_t packed, r.ReadU32());
-    fn.count = static_cast<uint16_t>(packed & 0xffffu);
-    fn.leaf = static_cast<uint16_t>(packed >> 16);
-    tree.flat_nodes_.push_back(fn);
-    tree.node_env_.PushBack(fn.box);
-  }
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    Entry e;
-    EEA_RETURN_NOT_OK(ReadBox(&r, &e.box));
-    EEA_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-    e.id = std::bit_cast<int64_t>(id);
-    tree.flat_entries_.push_back(e);
-    tree.entry_env_.PushBack(e.box);
-  }
-  // Sanity: flat ranges must stay inside the arrays before traversal or
-  // the pointer-tree rebuild dereferences them.
-  for (const FlatNode& fn : tree.flat_nodes_) {
-    const uint64_t limit = fn.leaf != 0 ? entry_count : node_count;
-    if (static_cast<uint64_t>(fn.first) + fn.count > limit) {
-      return common::Status::IOError(
-          "OpenFrozen: corrupt frozen r-tree (node range out of bounds)");
+    node.count = static_cast<uint16_t>(packed & 0xffffu);
+    node.leaf = static_cast<uint16_t>(packed >> 16);
+    if (node.leaf > 1) return Corrupt("leaf flag is not 0 or 1");
+    if (node.count == 0 || node.count > kMaxEntries) {
+      return Corrupt("node fan-out outside [1, kMaxEntries]");
     }
+    if (i == level_end) {
+      level_end = next_child;
+      if (++height > kMaxHeight) return Corrupt("tree deeper than kMaxHeight");
+    }
+    if (node.leaf != 0) {
+      if (node.first != next_entry) return Corrupt("leaf ranges do not tile");
+      next_entry += node.count;
+    } else {
+      if (node.first != next_child || node.first <= i) {
+        return Corrupt("child ranges do not tile breadth-first");
+      }
+      next_child += node.count;
+    }
+    tree.nodes_.push_back(node);
+    tree.node_env_.PushBack(box);
   }
-  if (!tree.flat_nodes_.empty()) {
-    tree.root_ = RebuildNode(tree.flat_nodes_, tree.flat_entries_, 0);
+  if (node_count > 0 && next_child != node_count) {
+    return Corrupt("child ranges do not cover every node");
   }
-  tree.frozen_ = true;
+  if (next_entry != entry_count) {
+    return Corrupt("leaf ranges do not cover every entry");
+  }
+  tree.ids_.reserve(entry_count);
+  tree.entry_env_.Reserve(entry_count);
+  for (uint64_t i = 0; i < entry_count; ++i) {
+    Box box;
+    EEA_RETURN_NOT_OK(ReadBox(&r, &box));
+    EEA_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
+    tree.ids_.push_back(std::bit_cast<int64_t>(id));
+    tree.entry_env_.PushBack(box);
+  }
   return tree;
 }
 
-int RTree::Height() const { return HeightOf(root_.get()); }
-
-void RTree::VisitPointerTree(const Box& query,
-                             const std::function<bool(const Entry&)>& visitor,
-                             TraversalStats* stats) const {
-  size_t visited = 0;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    ++visited;
-    if (!node->box.Intersects(query)) continue;
-    if (node->is_leaf) {
-      for (const Entry& e : node->entries) {
-        if (e.box.Intersects(query)) {
-          if (!visitor(e)) {
-            if (stats != nullptr) stats->nodes_visited += visited;
-            return;
-          }
-        }
-      }
-    } else {
-      for (const auto& c : node->children) {
-        if (c->box.Intersects(query)) stack.push_back(c.get());
-      }
-    }
-  }
-  if (stats != nullptr) stats->nodes_visited += visited;
-}
-
-void RTree::Visit(const Box& query,
-                  const std::function<bool(const Entry&)>& visitor) const {
-  TraversalStats stats;
-  VisitWith(query, visitor, &stats);
-  last_nodes_visited_ = stats.nodes_visited;
+int RTree::Height() const {
+  if (nodes_.empty()) return 1;
+  int height = 1;
+  for (uint32_t i = 0; nodes_[i].leaf == 0; i = nodes_[i].first) ++height;
+  return height;
 }
 
 std::vector<int64_t> RTree::Query(const Box& query) const {
   std::vector<int64_t> out;
-  TraversalStats stats;
-  VisitWith(
-      query,
-      [&](const Entry& e) {
-        out.push_back(e.id);
-        return true;
-      },
-      &stats);
-  last_nodes_visited_ = stats.nodes_visited;
+  VisitWith(query, [&](int64_t id) {
+    out.push_back(id);
+    return true;
+  });
   return out;
 }
 
 std::vector<RTree::Entry> RTree::Nearest(const Point& p, size_t k) const {
-  // Best-first search over nodes ordered by box distance.
+  // Best-first search over nodes and entries ordered by box distance.
   struct QueueItem {
     double dist;
-    const Node* node;
-    const Entry* entry;  // non-null for entry items
+    uint32_t index;  // into nodes_, or into ids_ when `entry`
+    bool entry;
     bool operator>(const QueueItem& other) const { return dist > other.dist; }
   };
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
-  pq.push({root_->box.Distance(p), root_.get(), nullptr});
   std::vector<Entry> out;
+  if (nodes_.empty()) return out;
+  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
+  pq.push({node_env_.At(0).Distance(p), 0, false});
   while (!pq.empty() && out.size() < k) {
-    QueueItem item = pq.top();
+    const QueueItem item = pq.top();
     pq.pop();
-    if (item.entry != nullptr) {
-      out.push_back(*item.entry);
+    if (item.entry) {
+      out.push_back({entry_env_.At(item.index), ids_[item.index]});
       continue;
     }
-    const Node* node = item.node;
-    if (node->is_leaf) {
-      for (const Entry& e : node->entries) {
-        pq.push({e.box.Distance(p), nullptr, &e});
-      }
-    } else {
-      for (const auto& c : node->children) {
-        pq.push({c->box.Distance(p), c.get(), nullptr});
-      }
+    const FlatNode& node = nodes_[item.index];
+    const simd::EnvelopeColumns& env = node.leaf != 0 ? entry_env_ : node_env_;
+    for (uint32_t i = node.first; i < node.first + node.count; ++i) {
+      pq.push({env.At(i).Distance(p), i, node.leaf != 0});
     }
   }
   return out;

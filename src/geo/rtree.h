@@ -1,29 +1,26 @@
 // R-tree spatial index over (Box, id) entries.
 //
-// Supports incremental insertion (quadratic split, R*-style least-
-// enlargement descent), STR bulk loading for static datasets, rectangle
-// queries, and nearest-neighbour search. This is the index Strabon-style
-// spatial selection pushdown (E1/E2) and spatial link discovery (E10) sit
-// on.
+// The tree is static: BulkLoad packs it with Sort-Tile-Recursive and it
+// is never modified afterwards. This is the index Strabon-style spatial
+// selection pushdown (E1/E2) and spatial link discovery (E10) sit on.
 //
-// Two representations coexist:
-//   - the *incremental* tree: pointer-per-node, supports Insert;
-//   - the *frozen* tree: after Freeze() (BulkLoad freezes automatically)
-//     the nodes are packed into one contiguous arena of fixed-width
-//     FlatNodes with children addressed by index, and all leaf entries
-//     into a second contiguous array. Queries over the frozen form are
-//     allocation-free and touch cache lines sequentially; the templated
-//     VisitWith avoids the std::function indirection per node.
-// Insert invalidates the frozen form; Freeze() rebuilds it.
+// One representation, built by STR straight into contiguous arrays:
+//   - nodes: fixed-width FlatNodes laid out breadth-first, so the
+//     children of an internal node (and the entries of a leaf) form one
+//     contiguous [first, first + count) range;
+//   - entry ids: one id per leaf entry, leaf by leaf;
+//   - envelopes: struct-of-arrays columns for the nodes and for the
+//     entries, each box stored once. A node's range is a contiguous slice
+//     of these columns, so one geo::simd kernel call prunes all of its
+//     children at once.
+// Queries are allocation-free; FreezeTo/OpenFrozen move the arrays
+// through a page chain unchanged.
 
 #ifndef EXEARTH_GEO_RTREE_H_
 #define EXEARTH_GEO_RTREE_H_
 
 #include <bit>
-#include <cassert>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -35,175 +32,121 @@
 
 namespace exearth::geo {
 
-/// An R-tree mapping bounding boxes to opaque int64 ids.
+/// A static R-tree mapping bounding boxes to opaque int64 ids.
 class RTree {
  public:
   static constexpr int kMaxEntries = 16;
-  static constexpr int kMinEntries = 6;
+  /// Deepest tree the fixed traversal stack accepts (OpenFrozen rejects
+  /// deeper streams; STR over 16-way nodes never gets close).
+  static constexpr int kMaxHeight = 32;
 
   struct Entry {
     Box box;
     int64_t id = 0;
   };
 
-  /// Fixed-width node of the frozen representation. Children of an
-  /// internal node (and entries of a leaf) are contiguous, so `first` +
-  /// `count` fully address them.
+  /// Fixed-width node. Children of an internal node (and entries of a
+  /// leaf) are contiguous, so `first` + `count` fully address them; the
+  /// node's own envelope is node_env_[index].
   struct FlatNode {
-    Box box;
     uint32_t first = 0;  // index of first child (internal) / entry (leaf)
     uint16_t count = 0;
     uint16_t leaf = 0;
   };
 
   /// Per-traversal statistics, returned to the caller so concurrent
-  /// queries never share mutable state.
+  /// queries never share a counter.
   struct TraversalStats {
     size_t nodes_visited = 0;
   };
 
-  // Tree node; defined in rtree.cc (opaque to users).
-  struct Node;
-
-  RTree();
-  ~RTree();
-
-  RTree(const RTree&) = delete;
-  RTree& operator=(const RTree&) = delete;
-  RTree(RTree&&) noexcept;
-  RTree& operator=(RTree&&) noexcept;
-
-  /// Builds a tree from scratch with Sort-Tile-Recursive packing. Much
-  /// faster and better-packed than repeated Insert for static data. The
-  /// result is frozen.
+  /// Builds a tree with Sort-Tile-Recursive packing.
   static RTree BulkLoad(std::vector<Entry> entries);
 
-  /// Inserts one entry. Invalidates the frozen form (Freeze() rebuilds).
-  void Insert(const Box& box, int64_t id);
-
-  /// Packs the incremental tree into the contiguous frozen arena. Idempotent;
-  /// queries fall back to the pointer tree while unfrozen.
-  void Freeze();
-
-  /// True when the frozen arena is current (queries run allocation-free).
-  bool frozen() const { return frozen_; }
-
-  /// Serializes the frozen arena (FlatNodes + entries) into a page chain
-  /// allocated from `pool`, returning the head page id in `*head`. The
-  /// tree must be frozen. Pages are written through the buffer pool;
-  /// callers persist `*head` (and FlushAll/Sync) themselves.
+  /// Serializes the arrays into a page chain allocated from `pool`,
+  /// returning the head page id in `*head`. Pages are written through the
+  /// buffer pool; callers persist `*head` (and FlushAll/Sync) themselves.
   common::Status FreezeTo(storage::BufferPool* pool,
                           storage::PageId* head) const;
 
   /// Loads a tree serialized by FreezeTo. Reads go through the buffer
-  /// pool (cold cache = storage reads, warm = pool hits). The result is
-  /// frozen with flat arenas identical to the source tree's, so spatial
-  /// query results are byte-identical by construction; the pointer tree
-  /// is rebuilt too, keeping Insert/Nearest/Height functional.
+  /// pool (cold cache = storage reads, warm = pool hits). The arrays are
+  /// identical to the source tree's, so query results are byte-identical
+  /// by construction. A stream whose structure no BulkLoad could have
+  /// produced is rejected with IOError.
   static common::Result<RTree> OpenFrozen(storage::BufferPool* pool,
                                           storage::PageId head);
 
   size_t size() const { return size_; }
-  /// Height of the tree (1 for a single leaf).
+  /// Height of the tree (1 for a single leaf or an empty tree).
   int Height() const;
 
   /// Ids of all entries whose box intersects `query`.
   std::vector<int64_t> Query(const Box& query) const;
 
-  /// Visits entries intersecting `query`; return false from the visitor to
-  /// stop early.
-  void Visit(const Box& query,
-             const std::function<bool(const Entry&)>& visitor) const;
-
-  /// Like Visit but templated on the visitor (no std::function indirection)
-  /// and with traversal statistics returned through `stats` instead of a
-  /// mutable member — safe for concurrent queries. Runs over the frozen
-  /// arena when available, else the pointer tree.
+  /// Calls `visitor(int64_t id)` for every entry intersecting `query`;
+  /// return false from the visitor to stop early. Traversal statistics
+  /// are added to `stats` when given. Safe for concurrent queries.
   template <typename Visitor>
   void VisitWith(const Box& query, Visitor&& visitor,
                  TraversalStats* stats = nullptr) const {
-    if (!frozen_) {
-      VisitPointerTree(query, std::forward<Visitor>(visitor), stats);
-      return;
-    }
-    if (flat_nodes_.empty()) return;
-    // Batched child pruning: a node's children (and a leaf's entries) are
-    // contiguous in the arena, so their envelopes form a contiguous SoA
-    // slice and one geo::simd kernel call tests all <= kMaxEntries of them,
-    // returning a bitmask. Set bits are consumed ascending, which pushes
-    // children — and invokes the visitor — in exactly the order of the
-    // unbatched per-box loop, so traversal order, early-exit points, and
-    // nodes_visited counts stay identical across kernel variants.
-    const simd::KernelTable& kern = simd::Kernels();
-    // Depth is bounded by log_kMinEntries(size); 32 levels of kMaxEntries
-    // children each covers any tree that fits in memory.
-    uint32_t stack[32 * kMaxEntries];
-    size_t top = 0;
-    stack[top++] = 0;
-    size_t visited = 0;
-    while (top > 0) {
-      const FlatNode& node = flat_nodes_[stack[--top]];
-      ++visited;
-      if (!node.box.Intersects(query)) continue;
-      if (node.leaf != 0) {
-        const Entry* entries = flat_entries_.data() + node.first;
-        uint64_t mask = kern.envelope_intersects(
-            query, entry_env_.Slice(node.first, node.count));
-        while (mask != 0) {
-          const int i = std::countr_zero(mask);
-          mask &= mask - 1;
-          if (!visitor(entries[i])) {
-            if (stats != nullptr) stats->nodes_visited += visited;
-            return;
+    VisitLeavesWith(
+        query,
+        [&](const int64_t* ids, uint32_t /*first*/, uint16_t /*count*/,
+            uint64_t mask) {
+          while (mask != 0) {
+            const int i = std::countr_zero(mask);
+            mask &= mask - 1;
+            if (!visitor(ids[i])) return false;
           }
-        }
-      } else {
-        uint64_t mask = kern.envelope_intersects(
-            query, node_env_.Slice(node.first, node.count));
-        while (mask != 0) {
-          const int c = std::countr_zero(mask);
-          mask &= mask - 1;
-          stack[top++] = node.first + static_cast<uint32_t>(c);
-        }
-      }
-    }
-    if (stats != nullptr) stats->nodes_visited += visited;
+          return true;
+        },
+        stats);
   }
 
-  /// Leaf-granular variant of VisitWith for batch consumers: the visitor
-  /// is called once per intersecting *leaf* with that leaf's contiguous
-  /// entry range and the bitmask of entries whose envelope intersects
-  /// `query` (bit i addresses entries[i]; bits at or above `count` are
-  /// zero; leaves with an all-zero mask are skipped). Because a leaf's
-  /// entries occupy the contiguous [first, first+count) slice of
+  /// Leaf-granular traversal for batch consumers: the visitor is called
+  /// as `visitor(const int64_t* ids, uint32_t first, uint16_t count,
+  /// uint64_t mask)` once per intersecting *leaf*, with that leaf's
+  /// contiguous id range and the bitmask of entries whose envelope
+  /// intersects `query` (bit i addresses ids[i]; bits at or above `count`
+  /// are zero; leaves with an all-zero mask are skipped). Because a
+  /// leaf's entries occupy the contiguous [first, first+count) slice of
   /// entry_envelopes(), the caller can evaluate further batched envelope
   /// predicates on the same slice with zero gathering — this is the hook
   /// the GeoStore/link probes use to settle their envelope fast paths
-  /// while the slice is still in cache. Consuming set bits ascending
-  /// reproduces VisitWith's per-entry order exactly. Return false from
-  /// the visitor to stop the traversal. Frozen trees only (BulkLoad
-  /// freezes; call Freeze() after Insert).
+  /// while the slice is still in cache. Return false from the visitor to
+  /// stop the traversal.
+  ///
+  /// Children are pruned in batches: one geo::simd kernel call tests all
+  /// <= kMaxEntries child envelopes of a node, and set bits are consumed
+  /// ascending, so traversal order, early-exit points and nodes_visited
+  /// are identical across kernel variants.
   template <typename LeafVisitor>
   void VisitLeavesWith(const Box& query, LeafVisitor&& visitor,
                        TraversalStats* stats = nullptr) const {
-    assert(frozen_ && "VisitLeavesWith requires a frozen tree");
-    if (flat_nodes_.empty()) return;
+    if (nodes_.empty()) return;
+    // A child is pushed only after its envelope passed the parent's mask,
+    // so the root is the one node whose envelope is tested on its own.
+    if (!node_env_.At(0).Intersects(query)) {
+      if (stats != nullptr) stats->nodes_visited += 1;
+      return;
+    }
     const simd::KernelTable& kern = simd::Kernels();
-    uint32_t stack[32 * kMaxEntries];
+    // A node pushes at most kMaxEntries children on top of the unvisited
+    // siblings of its ancestors, so kMaxHeight levels fit.
+    uint32_t stack[kMaxHeight * kMaxEntries];
     size_t top = 0;
     stack[top++] = 0;
     size_t visited = 0;
     while (top > 0) {
-      const FlatNode& node = flat_nodes_[stack[--top]];
+      const FlatNode& node = nodes_[stack[--top]];
       ++visited;
-      if (!node.box.Intersects(query)) continue;
       if (node.leaf != 0) {
         const uint64_t mask = kern.envelope_intersects(
             query, entry_env_.Slice(node.first, node.count));
-        if (mask != 0 && !visitor(flat_entries_.data() + node.first,
-                                  node.first, node.count, mask)) {
-          if (stats != nullptr) stats->nodes_visited += visited;
-          return;
+        if (mask != 0 &&
+            !visitor(ids_.data() + node.first, node.first, node.count, mask)) {
+          break;
         }
       } else {
         uint64_t mask = kern.envelope_intersects(
@@ -218,34 +161,19 @@ class RTree {
     if (stats != nullptr) stats->nodes_visited += visited;
   }
 
-  /// SoA envelope columns of the frozen leaf entries; the `first`/`count`
-  /// pair of a VisitLeavesWith callback addresses a contiguous slice.
+  /// SoA envelope columns of the leaf entries; the `first`/`count` pair
+  /// of a VisitLeavesWith callback addresses a contiguous slice.
   const simd::EnvelopeColumns& entry_envelopes() const { return entry_env_; }
 
   /// The `k` entries nearest to `p` by box distance, closest first.
   std::vector<Entry> Nearest(const Point& p, size_t k) const;
 
-  /// Number of tree nodes touched by the last Query/Visit call (statistics
-  /// for the benchmarks; not thread-safe across concurrent queries —
-  /// concurrent callers should use VisitWith with a TraversalStats).
-  size_t last_nodes_visited() const { return last_nodes_visited_; }
-
  private:
-  void VisitPointerTree(const Box& query,
-                        const std::function<bool(const Entry&)>& visitor,
-                        TraversalStats* stats) const;
-
-  std::unique_ptr<Node> root_;
   size_t size_ = 0;
-  bool frozen_ = false;
-  std::vector<FlatNode> flat_nodes_;   // breadth-first; children contiguous
-  std::vector<Entry> flat_entries_;    // leaf entries, leaf-by-leaf
-  // SoA mirrors of the flat_nodes_ / flat_entries_ envelopes, built by
-  // Freeze() for the batched kernels (a node's (first, count) range is a
-  // contiguous slice of these columns).
-  simd::EnvelopeColumns node_env_;
-  simd::EnvelopeColumns entry_env_;
-  mutable size_t last_nodes_visited_ = 0;
+  std::vector<FlatNode> nodes_;     // breadth-first; children contiguous
+  std::vector<int64_t> ids_;        // leaf entry ids, leaf by leaf
+  simd::EnvelopeColumns node_env_;  // envelope of nodes_[i]
+  simd::EnvelopeColumns entry_env_; // envelope of ids_[i]
 };
 
 }  // namespace exearth::geo

@@ -145,7 +145,7 @@ SpatialLinkResult DiscoverSpatialLinks(const std::vector<geo::Geometry>& a,
           for (size_t i = begin; i < end; ++i) {
             const geo::Box probe = a[i].Envelope().Buffered(margin);
             tree.VisitLeavesWith(
-                probe, [&](const geo::RTree::Entry* es, uint32_t first,
+                probe, [&](const int64_t* ids, uint32_t first,
                            uint16_t count, uint64_t hits) {
                   // Intersects and within-distance screen on the
                   // (buffered) traversal mask itself; containment needs
@@ -165,7 +165,7 @@ SpatialLinkResult DiscoverSpatialLinks(const std::vector<geo::Geometry>& a,
                       ++local.envelope_rejects;
                       continue;
                     }
-                    const auto j = static_cast<size_t>(es[k].id);
+                    const auto j = static_cast<size_t>(ids[k]);
                     ++local.exact_tests;
                     if (ExactTest(a[i], b[j], options)) {
                       local.links.emplace_back(i, j);

@@ -471,7 +471,7 @@ Result<std::vector<uint64_t>> GeoStore::SpatialSelect(
     const simd::EnvelopeColumns& eenv = rtree_.entry_envelopes();
     rtree_.VisitLeavesWith(
         query,
-        [&](const geo::RTree::Entry* es, uint32_t first, uint16_t count,
+        [&](const int64_t* ids, uint32_t first, uint16_t count,
             uint64_t hits) {
           // Both envelope predicates are settled here, while the leaf's
           // SoA slice is hot: the traversal mask answers "intersects",
@@ -486,7 +486,7 @@ Result<std::vector<uint64_t>> GeoStore::SpatialSelect(
           while (m != 0) {
             const int i = std::countr_zero(m);
             m &= m - 1;
-            candidates.push_back(static_cast<uint32_t>(es[i].id) |
+            candidates.push_back(static_cast<uint32_t>(ids[i]) |
                                  (((fast >> i) & 1) != 0 ? kFastBit : 0u));
           }
           return true;
@@ -676,7 +676,7 @@ Result<std::vector<std::vector<uint64_t>>> GeoStore::SpatialSelectBatch(
     const simd::EnvelopeColumns& eenv = rtree_.entry_envelopes();
     rtree_.VisitLeavesWith(
         ubox,
-        [&](const geo::RTree::Entry* es, uint32_t first, uint16_t count,
+        [&](const int64_t* ids, uint32_t first, uint16_t count,
             uint64_t /*union_hits*/) {
           const simd::EnvelopeSpan slice = eenv.Slice(first, count);
           for (size_t j = 0; j < unique.size(); ++j) {
@@ -689,7 +689,7 @@ Result<std::vector<std::vector<uint64_t>>> GeoStore::SpatialSelectBatch(
             while (m != 0) {
               const int i = std::countr_zero(m);
               m &= m - 1;
-              cand[j].push_back(static_cast<uint32_t>(es[i].id) |
+              cand[j].push_back(static_cast<uint32_t>(ids[i]) |
                                 (((fast >> i) & 1) != 0 ? kFastBit : 0u));
             }
           }
@@ -1014,7 +1014,7 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
         buf.clear();
         rtree_.VisitLeavesWith(
             abox,
-            [&](const geo::RTree::Entry* es, uint32_t first, uint16_t count,
+            [&](const int64_t* ids, uint32_t first, uint16_t count,
                 uint64_t hits) {
               // The relation holds only if the envelopes do: Intersects
               // needs overlapping envelopes (the traversal mask itself),
@@ -1038,7 +1038,7 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
               while (m != 0) {
                 const int k = std::countr_zero(m);
                 m &= m - 1;
-                const auto b = static_cast<uint32_t>(es[k].id);
+                const auto b = static_cast<uint32_t>(ids[k]);
                 if (b == a) continue;
                 if (!std::binary_search(bs.begin(), bs.end(), b)) continue;
                 buf.push_back(b |

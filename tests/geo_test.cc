@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "geo/geometry.h"
 #include "geo/rtree.h"
 #include "geo/wkt.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_chain.h"
+#include "storage/storage_manager.h"
 
 namespace exearth::geo {
 namespace {
@@ -377,6 +382,24 @@ TEST(WktTest, ToWktBox) {
 
 // --- RTree ---------------------------------------------------------------
 
+// Ids of `entries` whose box intersects `query`, sorted: the reference
+// every tree query is checked against.
+std::vector<int64_t> BruteForce(const std::vector<RTree::Entry>& entries,
+                                const Box& query) {
+  std::vector<int64_t> out;
+  for (const auto& e : entries) {
+    if (e.box.Intersects(query)) out.push_back(e.id);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<int64_t> SortedQuery(const RTree& tree, const Box& query) {
+  std::vector<int64_t> out = tree.Query(query);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(RTreeTest, EmptyTreeQueries) {
   RTree tree;
   EXPECT_EQ(tree.size(), 0u);
@@ -384,12 +407,13 @@ TEST(RTreeTest, EmptyTreeQueries) {
 }
 
 TEST(RTreeTest, InsertAndQuery) {
-  RTree tree;
+  std::vector<RTree::Entry> entries;
   for (int i = 0; i < 100; ++i) {
     double x = static_cast<double>(i % 10);
     double y = static_cast<double>(i / 10);
-    tree.Insert(Box::Of(x, y, x + 0.5, y + 0.5), i);
+    entries.push_back({Box::Of(x, y, x + 0.5, y + 0.5), i});
   }
+  RTree tree = RTree::BulkLoad(std::move(entries));
   EXPECT_EQ(tree.size(), 100u);
   auto hits = tree.Query(Box::Of(0, 0, 2.9, 0.9));
   std::set<int64_t> s(hits.begin(), hits.end());
@@ -399,27 +423,20 @@ TEST(RTreeTest, InsertAndQuery) {
 TEST(RTreeTest, QueryMatchesBruteForce) {
   common::Rng rng(42);
   std::vector<RTree::Entry> entries;
-  RTree tree;
   for (int i = 0; i < 2000; ++i) {
     double x = rng.UniformDouble(0, 1000);
     double y = rng.UniformDouble(0, 1000);
     double w = rng.UniformDouble(0, 5);
     double h = rng.UniformDouble(0, 5);
-    Box b = Box::Of(x, y, x + w, y + h);
-    entries.push_back({b, i});
-    tree.Insert(b, i);
+    entries.push_back({Box::Of(x, y, x + w, y + h), i});
   }
+  RTree tree = RTree::BulkLoad(entries);
   for (int q = 0; q < 50; ++q) {
     double x = rng.UniformDouble(0, 950);
     double y = rng.UniformDouble(0, 950);
     Box query = Box::Of(x, y, x + 50, y + 50);
-    std::set<int64_t> expected;
-    for (const auto& e : entries) {
-      if (e.box.Intersects(query)) expected.insert(e.id);
-    }
-    auto hits = tree.Query(query);
-    std::set<int64_t> actual(hits.begin(), hits.end());
-    EXPECT_EQ(actual, expected) << "query " << q;
+    EXPECT_EQ(SortedQuery(tree, query), BruteForce(entries, query))
+        << "query " << q;
   }
 }
 
@@ -437,13 +454,7 @@ TEST(RTreeTest, BulkLoadMatchesBruteForce) {
     double x = rng.UniformDouble(0, 900);
     double y = rng.UniformDouble(0, 900);
     Box query = Box::Of(x, y, x + 100, y + 100);
-    std::set<int64_t> expected;
-    for (const auto& e : entries) {
-      if (e.box.Intersects(query)) expected.insert(e.id);
-    }
-    auto hits = tree.Query(query);
-    std::set<int64_t> actual(hits.begin(), hits.end());
-    EXPECT_EQ(actual, expected);
+    EXPECT_EQ(SortedQuery(tree, query), BruteForce(entries, query));
   }
 }
 
@@ -471,12 +482,13 @@ TEST(RTreeTest, HeightGrowsLogarithmically) {
 }
 
 TEST(RTreeTest, VisitEarlyStop) {
-  RTree tree;
+  std::vector<RTree::Entry> entries;
   for (int i = 0; i < 100; ++i) {
-    tree.Insert(Box::Of(0, 0, 1, 1), i);
+    entries.push_back({Box::Of(0, 0, 1, 1), i});
   }
+  RTree tree = RTree::BulkLoad(std::move(entries));
   int count = 0;
-  tree.Visit(Box::Of(0, 0, 1, 1), [&](const RTree::Entry&) {
+  tree.VisitWith(Box::Of(0, 0, 1, 1), [&](int64_t) {
     ++count;
     return count < 5;
   });
@@ -492,34 +504,38 @@ TEST(RTreeTest, QueryTouchesFewNodesOnPointQuery) {
     entries.push_back({Box::Of(x, y, x + 0.1, y + 0.1), i});
   }
   RTree tree = RTree::BulkLoad(entries);
-  tree.Query(Box::Of(500, 500, 500.5, 500.5));
-  // A point-ish query should touch a tiny fraction of ~1900 nodes.
-  EXPECT_LT(tree.last_nodes_visited(), 60u);
+  RTree::TraversalStats stats;
+  tree.VisitWith(
+      Box::Of(500, 500, 500.5, 500.5), [](int64_t) { return true; }, &stats);
+  // A point-ish query should touch a tiny fraction of ~1300 nodes.
+  EXPECT_GT(stats.nodes_visited, 0u);
+  EXPECT_LT(stats.nodes_visited, 60u);
 }
 
 TEST(RTreeTest, Nearest) {
-  RTree tree;
+  std::vector<RTree::Entry> entries;
   for (int i = 0; i < 10; ++i) {
     double x = static_cast<double>(i * 10);
-    tree.Insert(Box::Of(x, 0, x + 1, 1), i);
+    entries.push_back({Box::Of(x, 0, x + 1, 1), i});
   }
+  RTree tree = RTree::BulkLoad(std::move(entries));
   auto nearest = tree.Nearest(Point{0.5, 0.5}, 3);
   ASSERT_EQ(nearest.size(), 3u);
   EXPECT_EQ(nearest[0].id, 0);
   EXPECT_EQ(nearest[1].id, 1);
   EXPECT_EQ(nearest[2].id, 2);
+  EXPECT_EQ(nearest[0].box.min_x, 0.0);
+  EXPECT_EQ(nearest[2].box.max_x, 21.0);
 }
 
 TEST(RTreeTest, NearestMoreThanSize) {
-  RTree tree;
-  tree.Insert(Box::Of(0, 0, 1, 1), 1);
+  RTree tree = RTree::BulkLoad({{Box::Of(0, 0, 1, 1), 1}});
   auto nearest = tree.Nearest(Point{5, 5}, 10);
   EXPECT_EQ(nearest.size(), 1u);
 }
 
 TEST(RTreeTest, MoveSemantics) {
-  RTree a;
-  a.Insert(Box::Of(0, 0, 1, 1), 1);
+  RTree a = RTree::BulkLoad({{Box::Of(0, 0, 1, 1), 1}});
   RTree b = std::move(a);
   EXPECT_EQ(b.size(), 1u);
   EXPECT_EQ(b.Query(Box::Of(0, 0, 2, 2)).size(), 1u);
@@ -543,57 +559,41 @@ TEST(RTreeTest, NearestKLargerThanSize) {
   EXPECT_EQ(nearest[2].id, 3);
 }
 
-TEST(RTreeTest, BulkLoadIsFrozenInsertThaws) {
-  RTree tree = RTree::BulkLoad({{Box::Of(0, 0, 1, 1), 1}});
-  EXPECT_TRUE(tree.frozen());
-  tree.Insert(Box::Of(2, 2, 3, 3), 2);
-  EXPECT_FALSE(tree.frozen());
-  // Unfrozen queries fall back to the pointer tree and stay correct.
-  EXPECT_EQ(tree.Query(Box::Of(0, 0, 4, 4)).size(), 2u);
-  tree.Freeze();
-  EXPECT_TRUE(tree.frozen());
-  EXPECT_EQ(tree.Query(Box::Of(0, 0, 4, 4)).size(), 2u);
-}
-
-TEST(RTreeTest, FrozenMatchesIncrementalRandomized) {
+// A tree that went through FreezeTo/OpenFrozen answers queries, Nearest
+// and Height exactly like the one BulkLoad built, and both match a scan.
+TEST(RTreeTest, OpenFrozenMatchesBruteForceRandomized) {
   common::Rng rng(46);
   std::vector<RTree::Entry> entries;
-  RTree incremental;
   for (int i = 0; i < 3000; ++i) {
     double x = rng.UniformDouble(0, 1000);
     double y = rng.UniformDouble(0, 1000);
     double w = rng.UniformDouble(0, 8);
     double h = rng.UniformDouble(0, 8);
-    Box b = Box::Of(x, y, x + w, y + h);
-    entries.push_back({b, i});
-    incremental.Insert(b, i);
+    entries.push_back({Box::Of(x, y, x + w, y + h), i});
   }
-  RTree bulk = RTree::BulkLoad(entries);
-  ASSERT_TRUE(bulk.frozen());
-  ASSERT_FALSE(incremental.frozen());
+  RTree built = RTree::BulkLoad(entries);
+  storage::MemoryStorageManager disk;
+  storage::BufferPool pool(&disk, 16);
+  storage::PageId head = storage::kInvalidPageId;
+  ASSERT_TRUE(built.FreezeTo(&pool, &head).ok());
+  auto opened = RTree::OpenFrozen(&pool, head);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const RTree& loaded = *opened;
+  EXPECT_EQ(loaded.size(), built.size());
+  EXPECT_EQ(loaded.Height(), built.Height());
   for (int q = 0; q < 40; ++q) {
     double x = rng.UniformDouble(0, 950);
     double y = rng.UniformDouble(0, 950);
     Box query = Box::Of(x, y, x + 60, y + 60);
-    auto pointer_hits = incremental.Query(query);  // pointer-tree path
-    std::set<int64_t> expected(pointer_hits.begin(), pointer_hits.end());
-    auto frozen_hits = bulk.Query(query);  // flat-arena path
-    EXPECT_EQ(std::set<int64_t>(frozen_hits.begin(), frozen_hits.end()),
-              expected)
-        << "query " << q;
-  }
-  // Freezing the incrementally built tree must not change its answers.
-  incremental.Freeze();
-  for (int q = 0; q < 40; ++q) {
-    double x = rng.UniformDouble(0, 950);
-    double y = rng.UniformDouble(0, 950);
-    Box query = Box::Of(x, y, x + 60, y + 60);
-    std::set<int64_t> expected;
-    for (const auto& e : entries) {
-      if (e.box.Intersects(query)) expected.insert(e.id);
-    }
-    auto hits = incremental.Query(query);
-    EXPECT_EQ(std::set<int64_t>(hits.begin(), hits.end()), expected);
+    const std::vector<int64_t> expected = BruteForce(entries, query);
+    EXPECT_EQ(SortedQuery(built, query), expected) << "query " << q;
+    EXPECT_EQ(loaded.Query(query), built.Query(query)) << "query " << q;
+    const Point p{x, y};
+    std::vector<int64_t> near_built;
+    std::vector<int64_t> near_loaded;
+    for (const auto& e : built.Nearest(p, 5)) near_built.push_back(e.id);
+    for (const auto& e : loaded.Nearest(p, 5)) near_loaded.push_back(e.id);
+    EXPECT_EQ(near_loaded, near_built);
   }
 }
 
@@ -606,15 +606,159 @@ TEST(RTreeTest, VisitWithReportsStatsAndStopsEarly) {
   RTree::TraversalStats stats;
   size_t count = 0;
   tree.VisitWith(
-      Box::Of(0, 0, 1000, 1), [&](const RTree::Entry&) { return ++count < 7; },
-      &stats);
+      Box::Of(0, 0, 1000, 1), [&](int64_t) { return ++count < 7; }, &stats);
   EXPECT_EQ(count, 7u);
   EXPECT_GT(stats.nodes_visited, 0u);
   // A full traversal visits more nodes than the early-stopped one.
   RTree::TraversalStats full;
   tree.VisitWith(
-      Box::Of(0, 0, 1000, 1), [](const RTree::Entry&) { return true; }, &full);
+      Box::Of(0, 0, 1000, 1), [](int64_t) { return true; }, &full);
   EXPECT_GT(full.nodes_visited, stats.nodes_visited);
+}
+
+// The bytes FreezeTo writes for a seeded BulkLoad are pinned: the STR
+// builder's breadth-first node order and the EEARTRE1 format may not
+// drift. The coordinates sit on a small integer grid, so the STR sorts
+// see many ties and the order they leave tied items in is pinned too.
+TEST(RTreeTest, FreezeToBytesAreGolden) {
+  common::Rng rng(47);
+  std::vector<RTree::Entry> entries;
+  for (int i = 0; i < 5000; ++i) {
+    const double x = static_cast<double>(rng.UniformInt(0, 200));
+    const double y = static_cast<double>(rng.UniformInt(0, 200));
+    entries.push_back({Box::Of(x, y, x + rng.UniformDouble(0, 4),
+                               y + rng.UniformDouble(0, 4)),
+                       i});
+  }
+  RTree tree = RTree::BulkLoad(std::move(entries));
+  storage::MemoryStorageManager disk;
+  storage::BufferPool pool(&disk, 16);
+  storage::PageId head = storage::kInvalidPageId;
+  ASSERT_TRUE(tree.FreezeTo(&pool, &head).ok());
+  storage::PageChainReader reader(&pool, head);
+  std::string bytes;
+  while (!reader.AtEnd()) {
+    char c = 0;
+    ASSERT_TRUE(reader.Read(&c, 1).ok());
+    bytes.push_back(c);
+  }
+  EXPECT_EQ(bytes.size(), 214076u);
+  EXPECT_EQ(common::Fnv1a(bytes), 10287429191224689540ull);
+}
+
+// --- OpenFrozen on hostile page chains --------------------------------------
+
+// A hand-written EEARTRE1 stream: header counts, then `nodes`, then
+// `entries` leaf entries, so a test can describe what BulkLoad never
+// writes.
+struct RawStream {
+  struct Node {
+    uint32_t first;
+    uint16_t count;
+    uint16_t leaf;
+  };
+  uint64_t size = 0;
+  uint64_t node_count = 0;
+  uint64_t entry_count = 0;
+  std::vector<Node> nodes;
+  uint64_t entries = 0;
+};
+
+// A leaf over `n` entries as the only node, with consistent counts.
+RawStream OneLeaf(uint16_t n) {
+  return RawStream{n, 1, n, {{0, n, 1}}, n};
+}
+
+// `depth` levels: a chain of single-child internal nodes over one leaf.
+RawStream Chain(int depth) {
+  RawStream s{1, static_cast<uint64_t>(depth), 1, {}, 1};
+  for (int i = 0; i + 1 < depth; ++i) {
+    s.nodes.push_back({static_cast<uint32_t>(i + 1), 1, 0});
+  }
+  s.nodes.push_back({0, 1, 1});
+  return s;
+}
+
+common::Status OpenRaw(const RawStream& s) {
+  storage::MemoryStorageManager disk;
+  storage::BufferPool pool(&disk, 16);
+  storage::PageChainWriter w(&pool, /*lsn=*/0);
+  auto box = [&](double lo, double hi) {
+    EXPECT_TRUE(w.WriteF64(lo).ok());
+    EXPECT_TRUE(w.WriteF64(lo).ok());
+    EXPECT_TRUE(w.WriteF64(hi).ok());
+    EXPECT_TRUE(w.WriteF64(hi).ok());
+  };
+  EXPECT_TRUE(w.WriteU64(0x3145525452414545ull).ok());  // "EEARTRE1"
+  EXPECT_TRUE(w.WriteU32(1).ok());
+  EXPECT_TRUE(w.WriteU64(s.size).ok());
+  EXPECT_TRUE(w.WriteU64(s.node_count).ok());
+  EXPECT_TRUE(w.WriteU64(s.entry_count).ok());
+  for (const RawStream::Node& n : s.nodes) {
+    box(0, 1000);
+    EXPECT_TRUE(w.WriteU32(n.first).ok());
+    EXPECT_TRUE(w.WriteU32(n.count | (static_cast<uint32_t>(n.leaf) << 16))
+                    .ok());
+  }
+  for (uint64_t i = 0; i < s.entries; ++i) {
+    box(static_cast<double>(i), static_cast<double>(i) + 1);
+    EXPECT_TRUE(w.WriteU64(i).ok());
+  }
+  auto head = w.Finish();
+  EXPECT_TRUE(head.ok());
+  auto opened = RTree::OpenFrozen(&pool, *head);
+  if (!opened.ok()) return opened.status();
+  // A stream that opens must also be safe to traverse.
+  opened->Query(Box::Of(-1, -1, 2000, 2000));
+  opened->Nearest(Point{0, 0}, 3);
+  opened->Height();
+  return common::Status::OK();
+}
+
+TEST(RTreeTest, OpenFrozenAcceptsWellFormedHandWrittenStreams) {
+  EXPECT_TRUE(OpenRaw(RawStream{}).ok());  // the empty tree
+  EXPECT_TRUE(OpenRaw(OneLeaf(1)).ok());
+  EXPECT_TRUE(OpenRaw(OneLeaf(RTree::kMaxEntries)).ok());
+  EXPECT_TRUE(OpenRaw(Chain(RTree::kMaxHeight)).ok());
+  // Root over two leaves of 3 and 2 entries.
+  EXPECT_TRUE(OpenRaw(RawStream{5, 3, 5, {{1, 2, 0}, {0, 3, 1}, {3, 2, 1}}, 5})
+                  .ok());
+}
+
+TEST(RTreeTest, OpenFrozenRejectsCorruptStreamsWithIOError) {
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  struct Case {
+    const char* name;
+    RawStream stream;
+  };
+  std::vector<Case> cases = {
+      {"size differs from entry count", {5, 1, 4, {{0, 4, 1}}, 4}},
+      {"huge entry count is never reserved",
+       {kHuge, 1, kHuge, {{0, 1, 1}}, 1}},
+      {"leaf fan-out above kMaxEntries", OneLeaf(100)},
+      {"empty leaf", {0, 1, 0, {{0, 0, 1}}, 0}},
+      {"leaf flag 2", {1, 1, 1, {{0, 1, 2}}, 1}},
+      {"child range skips a node",
+       {2, 3, 2, {{2, 1, 0}, {0, 1, 1}, {1, 1, 1}}, 2}},
+      {"child ranges miss the last node",
+       {2, 3, 2, {{1, 1, 0}, {0, 1, 1}, {1, 1, 1}}, 2}},
+      {"child range points back at its parent",
+       {1, 3, 1, {{1, 1, 0}, {0, 1, 1}, {2, 1, 0}}, 1}},
+      {"internal fan-out above kMaxEntries",
+       {1, 18, 1, {{1, 17, 0}}, 1}},
+      {"leaf ranges overlap", {3, 3, 3, {{1, 2, 0}, {0, 2, 1}, {1, 2, 1}}, 3}},
+      {"leaf ranges leave an entry out", {3, 1, 3, {{0, 2, 1}}, 3}},
+      {"tree deeper than kMaxHeight", Chain(RTree::kMaxHeight + 1)},
+  };
+  for (const Case& c : cases) {
+    const common::Status s = OpenRaw(c.stream);
+    EXPECT_TRUE(s.IsIOError()) << c.name << ": " << s.ToString();
+  }
+  // A node count larger than the chain runs off its end instead of
+  // allocating for it.
+  RawStream truncated = OneLeaf(1);
+  truncated.node_count = kHuge;
+  EXPECT_FALSE(OpenRaw(truncated).ok());
 }
 
 }  // namespace

@@ -220,45 +220,40 @@ TEST(SimdPointEdgesDistanceTest, VariantsAgreeBitForBit) {
 
 // --- Frozen R-tree batched pruning ------------------------------------------
 
-TEST(SimdRTreeTest, FrozenBatchedTraversalMatchesPointerTree) {
+TEST(SimdRTreeTest, FrozenBatchedTraversalMatchesBruteForce) {
   VariantGuard guard;
   Rng rng(424242);
   for (int round = 0; round < 8; ++round) {
     const size_t n = 1 + rng.Uniform(400);
     std::vector<exearth::geo::RTree::Entry> entries;
     entries.reserve(n);
-    exearth::geo::RTree pointer_tree;  // never frozen: unbatched baseline
     for (size_t i = 0; i < n; ++i) {
       const double x = rng.UniformDouble(0, 1000);
       const double y = rng.UniformDouble(0, 1000);
-      const Box b = Box::Of(x, y, x + rng.UniformDouble(0, 30),
-                            y + rng.UniformDouble(0, 30));
-      entries.push_back({b, static_cast<int64_t>(i)});
-      pointer_tree.Insert(b, static_cast<int64_t>(i));
+      entries.push_back({Box::Of(x, y, x + rng.UniformDouble(0, 30),
+                                 y + rng.UniformDouble(0, 30)),
+                         static_cast<int64_t>(i)});
     }
-    exearth::geo::RTree frozen =
-        exearth::geo::RTree::BulkLoad(std::move(entries));
-    ASSERT_TRUE(frozen.frozen());
-    ASSERT_FALSE(pointer_tree.frozen());
+    const exearth::geo::RTree tree = exearth::geo::RTree::BulkLoad(entries);
     for (int q = 0; q < 32; ++q) {
       const double x = rng.UniformDouble(0, 1000);
       const double y = rng.UniformDouble(0, 1000);
       const Box query = Box::Of(x, y, x + rng.UniformDouble(0, 120),
                                 y + rng.UniformDouble(0, 120));
-      auto collect = [&](const exearth::geo::RTree& tree) {
+      // Unbatched baseline: one Box::Intersects per input entry.
+      std::vector<int64_t> baseline;
+      for (const auto& e : entries) {
+        if (e.box.Intersects(query)) baseline.push_back(e.id);
+      }
+      for (simd::KernelVariant v : AvailableVariants()) {
+        ASSERT_TRUE(simd::SetVariant(v));
         std::vector<int64_t> ids;
-        tree.VisitWith(query, [&](const exearth::geo::RTree::Entry& e) {
-          ids.push_back(e.id);
+        tree.VisitWith(query, [&](int64_t id) {
+          ids.push_back(id);
           return true;
         });
         std::sort(ids.begin(), ids.end());
-        return ids;
-      };
-      const std::vector<int64_t> baseline = collect(pointer_tree);
-      for (simd::KernelVariant v : AvailableVariants()) {
-        ASSERT_TRUE(simd::SetVariant(v));
-        EXPECT_EQ(collect(frozen), baseline)
-            << "variant=" << simd::ActiveVariantName();
+        EXPECT_EQ(ids, baseline) << "variant=" << simd::ActiveVariantName();
       }
     }
   }
@@ -287,8 +282,8 @@ TEST(SimdRTreeTest, VisitOrderAndStatsAreVariantInvariant) {
     exearth::geo::RTree::TraversalStats stats;
     tree.VisitWith(
         query,
-        [&](const exearth::geo::RTree::Entry& e) {
-          order.push_back(e.id);
+        [&](int64_t id) {
+          order.push_back(id);
           return order.size() < stop_after;  // exercise early exit too
         },
         &stats);
@@ -334,8 +329,8 @@ TEST(SimdRTreeTest, LeafTraversalMatchesEntryTraversal) {
         exearth::geo::RTree::TraversalStats flat_stats;
         tree.VisitWith(
             query,
-            [&](const exearth::geo::RTree::Entry& e) {
-              flat_ids.push_back(e.id);
+            [&](int64_t id) {
+              flat_ids.push_back(id);
               return true;
             },
             &flat_stats);
@@ -343,15 +338,14 @@ TEST(SimdRTreeTest, LeafTraversalMatchesEntryTraversal) {
         exearth::geo::RTree::TraversalStats leaf_stats;
         tree.VisitLeavesWith(
             query,
-            [&](const exearth::geo::RTree::Entry* es, uint32_t first,
-                uint16_t count, uint64_t hits) {
+            [&](const int64_t* ids, uint32_t first, uint16_t count,
+                uint64_t hits) {
               EXPECT_EQ(hits >> count, 0u);
               for (uint16_t i = 0; i < count; ++i) {
                 const Box slot = env.At(first + i);
-                EXPECT_EQ(((hits >> i) & 1) != 0,
-                          slot.Intersects(query) && es[i].box.Intersects(query))
+                EXPECT_EQ(((hits >> i) & 1) != 0, slot.Intersects(query))
                     << "variant=" << simd::ActiveVariantName();
-                if (((hits >> i) & 1) != 0) leaf_ids.push_back(es[i].id);
+                if (((hits >> i) & 1) != 0) leaf_ids.push_back(ids[i]);
               }
               return true;
             },
