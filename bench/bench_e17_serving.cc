@@ -200,7 +200,7 @@ void BM_ServingBatchEffect(benchmark::State& state) {
     }
     auto run_mode = [&](bool batching, uint64_t* traversal_delta) {
       BrokerOptions opt;
-      opt.enable_batching = batching;
+      if (!batching) opt.max_batch = 1;  // one traversal per request
       opt.cache_capacity = 0;  // every request must execute
       QueryBroker broker(opt);
       broker.set_store(&ServingStore());

@@ -58,10 +58,10 @@ void RegisterServeAdminHooks(obs::AdminServer* admin, QueryBroker* broker,
                            [broker] { return broker->CheckReady(); });
 
   admin->AddStatusLine("serve broker", [broker] {
-    return StrFormat("%zu tenant(s), %zu cached entr%s, batching %s%s",
+    return StrFormat("%zu tenant(s), %zu cached entr%s, max_batch %zu%s",
                      broker->num_tenants(), broker->cache_size(),
                      broker->cache_size() == 1 ? "y" : "ies",
-                     broker->options().enable_batching ? "on" : "off",
+                     broker->options().max_batch,
                      broker->shutting_down() ? ", SHUTTING DOWN" : "");
   });
 

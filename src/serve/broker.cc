@@ -1,7 +1,6 @@
 #include "serve/broker.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 
 #include "common/deadline.h"
@@ -201,13 +200,7 @@ bool QueryBroker::TokenBucket::TryTake(int64_t now_us) {
 }
 
 QueryBroker::QueryBroker(BrokerOptions options)
-    : options_(std::move(options)),
-      admission_("serve", options_.admission),
-      now_us_([] {
-        return std::chrono::duration_cast<std::chrono::microseconds>(
-                   std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-      }) {
+    : options_(std::move(options)), admission_("serve", options_.admission) {
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<common::ThreadPool>(options_.num_threads);
   }
@@ -231,10 +224,6 @@ TenantId QueryBroker::RegisterTenant(std::string name, TenantOptions options) {
 const std::string& QueryBroker::tenant_name(TenantId id) const {
   static const std::string kUnknown = "<unknown>";
   return id < tenants_.size() ? tenants_[id]->name : kUnknown;
-}
-
-void QueryBroker::set_clock(std::function<int64_t()> now_us) {
-  now_us_ = std::move(now_us);
 }
 
 QueryBroker::Tenant* QueryBroker::tenant(TenantId id) {
@@ -337,60 +326,34 @@ void QueryBroker::CachePut(const CacheKey& key, RequestType type,
 
 void QueryBroker::ExecuteSingle(const Tenant& t, const Request& request,
                                 Response* out) {
-  common::RequestContext rctx;
-  if (t.options.deadline_us > 0) {
-    rctx.deadline = common::Deadline::FromNowUs(t.options.deadline_us);
-  }
-  common::ScopedRequestContext scope(rctx);
   common::TraceRequest req("serve.request");
-  switch (request.type) {
-    case RequestType::kSpatialSelect: {
-      if (store_ == nullptr) {
-        out->status = Status::FailedPrecondition("serve: no GeoStore backend");
-        return;
-      }
-      auto res = store_->SpatialSelect(request.box, request.relation,
-                                       /*use_index=*/true);
-      if (!res.ok()) {
-        out->status = res.status();
-        return;
-      }
-      out->ids = std::move(*res);
-      out->result_hash = HashIds(out->ids);
-      break;
+  if (request.type == RequestType::kSpatialJoin) {
+    if (store_ == nullptr) {
+      out->status = Status::FailedPrecondition("serve: no GeoStore backend");
+      return;
     }
-    case RequestType::kSpatialJoin: {
-      if (store_ == nullptr) {
-        out->status = Status::FailedPrecondition("serve: no GeoStore backend");
-        return;
-      }
-      auto res = store_->SpatialJoin(request.class_a, request.class_b,
-                                     request.relation, /*use_index=*/true);
-      if (!res.ok()) {
-        out->status = res.status();
-        return;
-      }
-      out->pairs = std::move(*res);
-      out->result_hash = HashPairs(out->pairs);
-      break;
+    auto res = store_->SpatialJoin(request.class_a, request.class_b,
+                                   request.relation, /*use_index=*/true);
+    if (!res.ok()) {
+      out->status = res.status();
+      return;
     }
-    case RequestType::kFederated: {
-      if (fed_ == nullptr) {
-        out->status =
-            Status::FailedPrecondition("serve: no federation backend");
-        return;
-      }
-      fed::FederationOptions opt = options_.fed_options;
-      opt.priority = t.options.priority;
-      auto res = fed_->Execute(request.fed_query, opt);
-      if (!res.ok()) {
-        out->status = res.status();
-        return;
-      }
-      out->rows = std::move(*res);
-      out->result_hash = HashRows(out->rows);
-      break;
+    out->pairs = std::move(*res);
+    out->result_hash = HashPairs(out->pairs);
+  } else {
+    if (fed_ == nullptr) {
+      out->status = Status::FailedPrecondition("serve: no federation backend");
+      return;
     }
+    fed::FederationOptions opt = options_.fed_options;
+    opt.priority = t.options.priority;
+    auto res = fed_->Execute(request.fed_query, opt);
+    if (!res.ok()) {
+      out->status = res.status();
+      return;
+    }
+    out->rows = std::move(*res);
+    out->result_hash = HashRows(out->rows);
   }
   out->status = Status::OK();
 }
@@ -401,6 +364,12 @@ void QueryBroker::ExecuteSelectGroup(
   const ServeMetrics& metrics = ServeMetrics::Get();
   const size_t n = requests.size();
   common::TraceRequest req("serve.batch");
+  if (store_ == nullptr) {
+    for (Response* r : responses) {
+      r->status = Status::FailedPrecondition("serve: no GeoStore backend");
+    }
+    return;
+  }
   std::vector<strabon::BatchSelectQuery> queries(n);
   for (size_t i = 0; i < n; ++i) {
     queries[i] = {requests[i]->box, requests[i]->relation};
@@ -421,133 +390,6 @@ void QueryBroker::ExecuteSelectGroup(
     metrics.batch_batched_requests->Increment(n);
     metrics.batch_max_size->Max(static_cast<double>(n));
   }
-}
-
-void QueryBroker::ExecuteSelectBatched(const Tenant& t, const Request& request,
-                                       Response* out) {
-  std::shared_ptr<BatchGroup> group;
-  {
-    std::unique_lock<std::mutex> lock(batch_mu_);
-    if (open_group_ != nullptr && !open_group_->closed &&
-        open_group_->requests.size() < options_.max_batch) {
-      // Follower: join the in-flight group and wait for its leader.
-      group = open_group_;
-      group->requests.push_back(&request);
-      group->responses.push_back(out);
-      if (group->requests.size() >= options_.max_batch) {
-        group->closed = true;
-        open_group_ = nullptr;
-        batch_cv_.notify_all();  // wake the leader early
-      }
-      batch_cv_.wait(lock, [&] { return group->done; });
-      return;
-    }
-    // Leader: open a group, give followers a window to pile in.
-    group = std::make_shared<BatchGroup>();
-    group->requests.push_back(&request);
-    group->responses.push_back(out);
-    open_group_ = group;
-    if (options_.batch_window_us > 0) {
-      batch_cv_.wait_for(lock,
-                         std::chrono::microseconds(options_.batch_window_us),
-                         [&] { return group->closed; });
-    }
-    if (!group->closed) {
-      group->closed = true;
-      if (open_group_ == group) open_group_ = nullptr;
-    }
-  }
-  {
-    // The leader's deadline bounds the shared traversal (deadlines are
-    // honored at batch granularity; followers inherit the group outcome).
-    common::RequestContext rctx;
-    if (t.options.deadline_us > 0) {
-      rctx.deadline = common::Deadline::FromNowUs(t.options.deadline_us);
-    }
-    common::ScopedRequestContext scope(rctx);
-    ExecuteSelectGroup(group->requests, group->responses);
-  }
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    group->done = true;
-  }
-  batch_cv_.notify_all();
-}
-
-Response QueryBroker::Execute(TenantId tenant_id, const Request& request) {
-  const ServeMetrics& metrics = ServeMetrics::Get();
-  metrics.requests->Increment();
-  common::Stopwatch sw;
-  const int64_t now = now_us_();
-  Response resp;
-  Tenant* t = tenant(tenant_id);
-  if (t == nullptr) {
-    resp.status = Status::InvalidArgument("serve: unknown tenant");
-    metrics.errors->Increment();
-    return resp;
-  }
-  t->offered.fetch_add(1, std::memory_order_relaxed);
-  if (shutting_down()) {
-    resp.status = Status::Unavailable("serve: broker shutting down");
-    t->errors.fetch_add(1, std::memory_order_relaxed);
-    metrics.errors->Increment();
-    if (slo_ != nullptr) slo_->Record(t->name, false, 0.0, now);
-    return resp;
-  }
-  {
-    std::lock_guard<std::mutex> lock(t->mu);
-    if (!t->bucket.TryTake(now)) {
-      resp.status = Status::ResourceExhausted(
-          "serve: tenant '" + t->name + "' over quota");
-      resp.shed = ShedStage::kQuota;
-      metrics.quota_shed->Increment();
-      t->quota_shed.fetch_add(1, std::memory_order_relaxed);
-      if (slo_ != nullptr) slo_->Record(t->name, false, 0.0, now);
-      return resp;
-    }
-  }
-  Status admitted = admission_.TryAdmit(t->options.priority);
-  if (!admitted.ok()) {
-    resp.status = admitted;  // the controller counted the shed
-    resp.shed = ShedStage::kAdmission;
-    t->admission_shed.fetch_add(1, std::memory_order_relaxed);
-    if (slo_ != nullptr) slo_->Record(t->name, false, 0.0, now);
-    return resp;
-  }
-  common::AdmissionTicket ticket(&admission_);
-  const CacheKey key{tenant_id, request.Fingerprint()};
-  if (CacheGet(key, request.type, &resp)) {
-    resp.latency_us = sw.ElapsedMicros();
-    metrics.request_latency_us->Observe(resp.latency_us);
-    metrics.ok->Increment();
-    t->cache_hits.fetch_add(1, std::memory_order_relaxed);
-    t->ok.fetch_add(1, std::memory_order_relaxed);
-    if (slo_ != nullptr) slo_->Record(t->name, true, resp.latency_us, now);
-    return resp;
-  }
-  if (request.type == RequestType::kSpatialSelect &&
-      options_.enable_batching && store_ != nullptr) {
-    ExecuteSelectBatched(*t, request, &resp);
-  } else {
-    ExecuteSingle(*t, request, &resp);
-  }
-  resp.latency_us = sw.ElapsedMicros();
-  metrics.request_latency_us->Observe(resp.latency_us);
-  if (resp.status.ok()) {
-    CachePut(key, request.type, resp);
-    metrics.ok->Increment();
-    t->ok.fetch_add(1, std::memory_order_relaxed);
-    if (resp.batch_size > 1) {
-      t->batched.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    metrics.errors->Increment();
-    t->errors.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (slo_ != nullptr) {
-    slo_->Record(t->name, resp.status.ok(), resp.latency_us, now);
-  }
-  return resp;
 }
 
 std::vector<Response> QueryBroker::ExecuteWave(
@@ -653,8 +495,8 @@ std::vector<Response> QueryBroker::ExecuteWave(
   }
 
   // 3. Group the wave's executable SpatialSelects into shared-traversal
-  // batches (service order, groups of <= max_batch); joins and federated
-  // queries execute as singleton units.
+  // select groups (service order, groups of <= max_batch); joins and
+  // federated queries execute as singleton units.
   struct Unit {
     std::vector<size_t> members;  // wave indices
     bool is_select_group = false;
@@ -666,8 +508,7 @@ std::vector<Response> QueryBroker::ExecuteWave(
       const size_t i = order[slot];
       if (!execute[i]) continue;
       const Request& req = offered[i].request;
-      if (options_.enable_batching && store_ != nullptr &&
-          req.type == RequestType::kSpatialSelect) {
+      if (req.type == RequestType::kSpatialSelect) {
         if (open_select == nullptr ||
             open_select->members.size() >= options_.max_batch) {
           units.push_back(Unit{{}, true});
@@ -681,10 +522,17 @@ std::vector<Response> QueryBroker::ExecuteWave(
   }
 
   // 4. Execute the units — independent, so in parallel across the broker
-  // pool when configured. Each unit stamps its members with its own wall
-  // time.
+  // pool when configured. Each unit runs under the deadline of its first
+  // member's tenant (the first in service order: a group's leader) and
+  // stamps its members with its own wall time.
   auto run_unit = [&](size_t u) {
     const Unit& unit = units[u];
+    const Tenant& leader = *tenants_[offered[unit.members[0]].tenant];
+    common::RequestContext rctx;
+    if (leader.options.deadline_us > 0) {
+      rctx.deadline = common::Deadline::FromNowUs(leader.options.deadline_us);
+    }
+    common::ScopedRequestContext scope(rctx);
     common::Stopwatch sw;
     if (unit.is_select_group) {
       std::vector<const Request*> reqs;
@@ -698,8 +546,7 @@ std::vector<Response> QueryBroker::ExecuteWave(
       ExecuteSelectGroup(reqs, resps);
     } else {
       const size_t i = unit.members[0];
-      ExecuteSingle(*tenants_[offered[i].tenant].get(), offered[i].request,
-                    &responses[i]);
+      ExecuteSingle(leader, offered[i].request, &responses[i]);
     }
     const double us = sw.ElapsedMicros();
     for (size_t i : unit.members) responses[i].latency_us = us;

@@ -1,13 +1,13 @@
 // Multi-tenant query serving layer (ROADMAP item 1): the system's front
-// door. A QueryBroker accepts a stream of concurrent typed requests
+// door. A QueryBroker accepts waves of concurrent typed requests
 // (SpatialSelect / SpatialJoin / federated BGP) from many tenants and
 // pushes each through a fixed pipeline:
 //
 //   quota -> admission -> cache -> batch -> execute -> cache fill
 //
-//   * quota      — per-tenant token bucket (rate + burst) over a caller-
-//                  supplied or injected clock; a tenant over its quota is
-//                  shed with ResourceExhausted before touching any queue.
+//   * quota      — per-tenant token bucket (rate + burst) over the wave's
+//                  virtual clock; a tenant over its quota is shed with
+//                  ResourceExhausted before touching any queue.
 //   * admission  — the PR-5 AdmissionController ("admission.serve.*"): a
 //                  broker-wide bounded queue with priority water lines;
 //                  the tenant's priority class decides who sheds first
@@ -17,17 +17,19 @@
 //                  time; a GeoStore ingest bumps the epoch, so stale
 //                  entries invalidate themselves at next lookup (no stale
 //                  reads, ever). Tenants never share entries.
-//   * batch      — cross-request batching: concurrent SpatialSelects
-//                  against the same frozen R-tree are grouped and answered
-//                  by ONE shared traversal (GeoStore::SpatialSelectBatch)
-//                  with per-request result demux. Under the threaded
-//                  Execute() API groups form leader/follower style inside
-//                  a small window; under the deterministic ExecuteWave()
-//                  API the whole wave is grouped at once.
-//   * execute    — runs under the tenant's deadline (ScopedRequestContext)
-//                  and a "serve.request" trace span; federated requests
-//                  route to the FederationEngine with the tenant's
-//                  priority.
+//   * batch      — every executable SpatialSelect of a wave joins a select
+//                  group of up to max_batch members (service order), and
+//                  each group is answered by ONE shared traversal
+//                  (GeoStore::SpatialSelectBatch) with per-request result
+//                  demux. max_batch = 1 is the unbatched ablation: one
+//                  traversal per request. Joins and federated requests
+//                  execute alone.
+//   * execute    — each unit (select group or single request) runs under
+//                  its tenant's deadline (ScopedRequestContext) — a group
+//                  under the deadline of its first member in service
+//                  order — and a "serve.batch" / "serve.request" trace
+//                  span; federated requests route to the FederationEngine
+//                  with the tenant's priority.
 //
 // Fairness: ExecuteWave services admitted requests in weighted round-
 // robin order across tenants (weight w gets up to w consecutive slots per
@@ -37,13 +39,9 @@
 // much the hog offers. Response::service_slot exposes the position for
 // tests and the load generator.
 //
-// Two entry points:
-//   * Execute(tenant, request)            — thread-safe, call it from any
-//     number of client threads; selects join in-flight batch groups.
-//   * ExecuteWave(offered, now_us)        — closed-loop wave of requests
-//     at one virtual timestamp, fully deterministic (same wave + same
-//     now_us => byte-identical responses and counters); this is what the
-//     load generator and the seeded CI gate drive.
+// ExecuteWave(offered, now_us) is the one entry point: a closed-loop wave
+// of requests at one virtual timestamp, fully deterministic (same wave +
+// same now_us => byte-identical responses and counters).
 //
 // Observable: serve.requests / serve.ok / serve.errors, serve.quota.shed,
 // admission.serve.* (from the controller), serve.cache.{hits,misses,
@@ -54,9 +52,7 @@
 #define EXEARTH_SERVE_BROKER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -133,8 +129,8 @@ struct Response {
   uint64_t batch_size = 1;
   /// Order-independent hash of the result content (0 on error).
   uint64_t result_hash = 0;
-  /// Service position assigned by the weighted-fair scheduler
-  /// (ExecuteWave only; 0 under threaded Execute).
+  /// Service position assigned by the weighted-fair scheduler (0 for the
+  /// first request serviced in the wave).
   uint64_t service_slot = 0;
   /// Wall-clock service time of the executing unit, microseconds.
   double latency_us = 0.0;
@@ -151,7 +147,8 @@ struct TenantOptions {
   uint32_t weight = 1;
   /// Admission priority class (lower classes shed first under overload).
   common::Priority priority = common::Priority::kInteractive;
-  /// Per-request deadline; 0 = none.
+  /// Per-request deadline; 0 = none. A select group runs under the
+  /// deadline of its first member in service order.
   int64_t deadline_us = 0;
 };
 
@@ -160,15 +157,9 @@ using TenantId = uint32_t;
 struct BrokerOptions {
   /// Broker-wide admission queue ("admission.serve.*" metrics).
   common::AdmissionOptions admission{.max_depth = 1024};
-  /// Group concurrent SpatialSelects into shared traversals. Off = every
-  /// request traverses alone (the ablation baseline).
-  bool enable_batching = true;
-  /// Largest batch group.
+  /// Largest select group: the SpatialSelects sharing one traversal. 1 =
+  /// every request traverses alone (the unbatched ablation).
   size_t max_batch = 64;
-  /// How long a threaded Execute() leader waits for followers before
-  /// closing its group. 0 = close immediately (groups only form when
-  /// requests are already waiting).
-  int64_t batch_window_us = 200;
   /// Result-cache entries across all tenants; 0 disables caching.
   size_t cache_capacity = 4096;
   /// Worker threads for executing independent units of one wave in
@@ -218,20 +209,10 @@ class QueryBroker {
   void set_store(const strabon::GeoStore* store) { store_ = store; }
   void set_federation(const fed::FederationEngine* engine) { fed_ = engine; }
 
-  /// Registers a tenant; the returned id names it in Execute calls.
+  /// Registers a tenant; the returned id names it in Offered requests.
   TenantId RegisterTenant(std::string name, TenantOptions options);
   size_t num_tenants() const { return tenants_.size(); }
   const std::string& tenant_name(TenantId id) const;
-
-  /// Clock for the threaded Execute() path's token buckets, microseconds.
-  /// Defaults to steady_clock; tests inject a virtual clock for
-  /// deterministic quota behavior.
-  void set_clock(std::function<int64_t()> now_us);
-
-  /// Serves one request on the calling thread (thread-safe). SpatialSelects
-  /// may join an in-flight batch group and be answered by its shared
-  /// traversal.
-  Response Execute(TenantId tenant, const Request& request);
 
   /// Serves a closed wave of concurrent requests at virtual time `now_us`:
   /// quota + admission + cache in weighted-fair service order, batch
@@ -257,8 +238,8 @@ class QueryBroker {
   common::AdmissionController* admission() { return &admission_; }
 
   /// Attaches an SLO tracker (not owned): every finished or shed request
-  /// is Record()ed under the tenant's name with the serving clock (the
-  /// wave's virtual now_us under ExecuteWave — deterministic counts).
+  /// is Record()ed under the tenant's name at the wave's virtual now_us
+  /// (deterministic counts).
   void set_slo_tracker(SloTracker* tracker) { slo_ = tracker; }
 
   /// Per-tenant accounting snapshot, registration order (the /tenantz
@@ -328,14 +309,6 @@ class QueryBroker {
     uint64_t result_hash = 0;
   };
 
-  // In-flight leader/follower batch group for threaded Execute().
-  struct BatchGroup {
-    std::vector<const Request*> requests;
-    std::vector<Response*> responses;
-    bool closed = false;
-    bool done = false;
-  };
-
   Tenant* tenant(TenantId id);
   uint64_t EpochFor(RequestType type) const;
 
@@ -344,25 +317,20 @@ class QueryBroker {
   bool CacheGet(const CacheKey& key, RequestType type, Response* out);
   void CachePut(const CacheKey& key, RequestType type, const Response& resp);
 
-  /// Runs one request against its backend (no quota/admission/cache);
-  /// fills results + hash. Installs the tenant deadline and trace span.
+  /// Runs one join or federated request against its backend (no
+  /// quota/admission/cache); fills results + hash.
   void ExecuteSingle(const Tenant& t, const Request& request, Response* out);
 
-  /// Executes a closed select batch group via one shared traversal and
-  /// demuxes into the members' responses.
+  /// Executes a select group via one shared traversal and demuxes into
+  /// the members' responses.
   void ExecuteSelectGroup(const std::vector<const Request*>& requests,
                           const std::vector<Response*>& responses);
-
-  /// Threaded-path select batching: join or lead a group.
-  void ExecuteSelectBatched(const Tenant& t, const Request& request,
-                            Response* out);
 
   BrokerOptions options_;
   const strabon::GeoStore* store_ = nullptr;
   const fed::FederationEngine* fed_ = nullptr;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   common::AdmissionController admission_;
-  std::function<int64_t()> now_us_;
   std::atomic<uint64_t> fed_epoch_{0};
   std::atomic<bool> shutting_down_{false};
   SloTracker* slo_ = nullptr;
@@ -372,11 +340,6 @@ class QueryBroker {
   std::list<CacheEntry> cache_lru_;
   std::unordered_map<CacheKey, std::list<CacheEntry>::iterator, CacheKeyHash>
       cache_index_;
-
-  // Threaded-path batcher.
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::shared_ptr<BatchGroup> open_group_;
 
   std::unique_ptr<common::ThreadPool> pool_;
 };

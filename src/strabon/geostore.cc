@@ -94,34 +94,77 @@ void MergeStats(const SpatialQueryStats& in, SpatialQueryStats* out) {
 // (deadline, cancellation, or memory budget) wins, every other worker
 // sees the flag on its next item and stops. Polling the flag is one
 // relaxed load per item; the clock is only read every kPollStride items.
+// An unconstrained request with no memory budget skips both (the common
+// fast path).
 constexpr size_t kPollStride = 64;
 
-struct QueryAbort {
-  std::atomic<int> reason{0};  // 0 = none, else a StatusCode
+class QueryAbort {
+ public:
+  QueryAbort(const common::RequestContext& rctx, const char* who,
+             uint64_t budget)
+      : rctx_(rctx),
+        who_(who),
+        budget_(budget),
+        guarded_(!rctx.unconstrained() || budget > 0) {}
 
   bool triggered() const {
-    return reason.load(std::memory_order_relaxed) != 0;
+    return reason_.load(std::memory_order_relaxed) != 0;
   }
-  void Trigger(common::StatusCode code) {
-    int expected = 0;
-    reason.compare_exchange_strong(expected, static_cast<int>(code),
-                                   std::memory_order_relaxed);
+
+  // True when the worker at item `i` of its range must stop: another
+  // worker aborted, or (every kPollStride-th item) the deadline or the
+  // cancel token fired.
+  bool Poll(size_t i) {
+    if (!guarded_) return false;
+    if (triggered()) return true;
+    if (i % kPollStride != 0) return false;
+    const Status s = rctx_.Check(who_);
+    if (s.ok()) return false;
+    Trigger(s.code());
+    return true;
   }
-  common::Status ToStatus(const char* who) const {
-    const auto code =
-        static_cast<common::StatusCode>(reason.load(std::memory_order_relaxed));
+
+  // Charges `bytes` of result memory to the query; true when that blew
+  // the budget.
+  bool Charge(uint64_t bytes) {
+    if (budget_ == 0) return false;
+    if (bytes_used_.fetch_add(bytes, std::memory_order_relaxed) + bytes <=
+        budget_) {
+      return false;
+    }
+    Trigger(common::StatusCode::kResourceExhausted);
+    return true;
+  }
+
+  common::Status ToStatus() const {
+    const auto code = static_cast<common::StatusCode>(
+        reason_.load(std::memory_order_relaxed));
     switch (code) {
       case common::StatusCode::kCancelled:
-        return common::Status::Cancelled(std::string(who) +
+        return common::Status::Cancelled(std::string(who_) +
                                          ": request cancelled");
       case common::StatusCode::kResourceExhausted:
         return common::Status::ResourceExhausted(
-            std::string(who) + ": per-query memory budget exceeded");
+            std::string(who_) + ": per-query memory budget exceeded");
       default:
         return common::Status::DeadlineExceeded(
-            std::string(who) + ": request deadline exceeded");
+            std::string(who_) + ": request deadline exceeded");
     }
   }
+
+ private:
+  void Trigger(common::StatusCode code) {
+    int expected = 0;
+    reason_.compare_exchange_strong(expected, static_cast<int>(code),
+                                    std::memory_order_relaxed);
+  }
+
+  const common::RequestContext& rctx_;
+  const char* who_;
+  const uint64_t budget_;  // 0 = unlimited
+  const bool guarded_;
+  std::atomic<int> reason_{0};  // 0 = none, else a StatusCode
+  std::atomic<uint64_t> bytes_used_{0};
 };
 
 // Bumps the right abort counter and the chunks_cancelled total after a
@@ -149,22 +192,17 @@ void CountAbort(const GeoStoreMetrics& metrics, const common::Status& status,
 // checks the arena stays below 2^31 entries so the bit is free.
 constexpr uint32_t kFastBit = 0x80000000u;
 
-// Everything a SpatialSelect/SpatialSelectBatch refinement chunk worker
-// needs, hoisted once per query: the rect polygon for kContains (built
-// once instead of per candidate) and the cooperative-abort machinery.
+// Everything a select refinement chunk worker needs, hoisted once per
+// member: the rect polygon for kContains (built once instead of per
+// candidate) and the cooperative-abort channel.
 struct RefineJob {
   const std::vector<uint32_t>* candidates;  // arena index | kFastBit
   geo::Box query;
   SpatialRelation relation;
-  const geo::Geometry* contains_rect = nullptr;  // only for kContains
+  const geo::Geometry* contains_rect;  // only for kContains
   const std::vector<geo::Geometry>* geoms;
   const std::vector<uint64_t>* subjects;
-  bool guarded;
-  const common::RequestContext* rctx;
-  const char* who;
   QueryAbort* abort;
-  uint64_t budget;                      // 0 = unlimited
-  std::atomic<uint64_t>* bytes_used;    // may be null when budget == 0
 };
 
 // Refines candidates [begin, end) into `local`. The envelope predicate
@@ -180,18 +218,11 @@ void RefineChunkRange(const RefineJob& job, size_t begin, size_t end,
                       std::vector<uint64_t>* local,
                       SpatialQueryStats* lstats) {
   const std::vector<uint32_t>& cand = *job.candidates;
+  QueryAbort& abort = *job.abort;
   for (size_t i = begin; i < end; ++i) {
-    if (job.guarded && ((i - begin) % kPollStride) == 0) {
-      if (job.abort->triggered()) {
-        lstats->chunks_cancelled = 1;
-        return;
-      }
-      Status s = job.rctx->Check(job.who);
-      if (!s.ok()) {
-        job.abort->Trigger(s.code());
-        lstats->chunks_cancelled = 1;
-        return;
-      }
+    if (abort.Poll(i - begin)) {
+      lstats->chunks_cancelled = 1;
+      return;
     }
     const size_t idx = cand[i] & ~kFastBit;
     const bool bit = (cand[i] & kFastBit) != 0;
@@ -220,16 +251,9 @@ void RefineChunkRange(const RefineJob& job, size_t begin, size_t end,
     }
     if (match) {
       local->push_back((*job.subjects)[idx]);
-      if (job.budget > 0) {
-        const uint64_t now_used =
-            job.bytes_used->fetch_add(sizeof(uint64_t),
-                                      std::memory_order_relaxed) +
-            sizeof(uint64_t);
-        if (now_used > job.budget) {
-          job.abort->Trigger(common::StatusCode::kResourceExhausted);
-          lstats->chunks_cancelled = 1;
-          return;
-        }
+      if (abort.Charge(sizeof(uint64_t))) {
+        lstats->chunks_cancelled = 1;
+        return;
       }
     }
   }
@@ -249,6 +273,65 @@ std::optional<geo::Geometry> ContainsRectFor(const geo::Box& query,
 }
 
 }  // namespace
+
+// The frame every query method opens first: the request's trace root,
+// the profile scope, the latency timer and queries count, and the ambient
+// request context. A QueryProfile is built only when the caller passed
+// `profile_out` or, for the outermost query, the slow-query log is on.
+class GeoStore::Call {
+ public:
+  Call(const char* name, common::QueryProfile* profile_out)
+      : name_(name),
+        req_(name),
+        profile_out_(profile_out),
+        profiling_(profile_out != nullptr ||
+                   (scope_.is_root() &&
+                    common::SlowQueryLog::Default().enabled())),
+        timer_(GeoStoreMetrics::Get().query_latency_us),
+        rctx_(common::CurrentRequestContext()) {
+    GeoStoreMetrics::Get().queries->Increment();
+  }
+
+  const char* name() const { return name_; }
+  const common::RequestContext& rctx() const { return rctx_; }
+
+  // A request whose deadline passed or whose token fired before the query
+  // started does no work, and is counted as aborted.
+  Status Enter() const {
+    Status s = rctx_.Check(name_);
+    if (!s.ok()) CountAbort(GeoStoreMetrics::Get(), s, 0);
+    return s;
+  }
+
+  // The profile to add operators to; null when none is being built.
+  common::QueryProfile* profile() { return profiling_ ? &prof_ : nullptr; }
+
+  // Stamps the profile with the outcome and hands it to the caller and,
+  // for the outermost query, to the slow-query log.
+  void Finish(const Status& status = Status::OK()) {
+    if (!profiling_) return;
+    prof_.query = name_;
+    prof_.trace_id = req_.trace_id();
+    prof_.total_us = SecondsSince(start_) * 1e6;
+    if (!status.ok()) prof_.status = common::StatusCodeToString(status.code());
+    if (profile_out_ != nullptr) *profile_out_ = prof_;
+    if (scope_.is_root()) {
+      common::SlowQueryLog::Default().Record(std::move(prof_));
+    }
+  }
+
+ private:
+  const char* name_;
+  common::TraceRequest req_;
+  common::ProfileScope scope_;
+  common::QueryProfile* profile_out_;
+  const bool profiling_;
+  const std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+  common::ScopedLatencyTimer timer_;
+  const common::RequestContext rctx_;
+  common::QueryProfile prof_;
+};
 
 void GeoStore::AddFeature(const std::string& subject_iri,
                           const geo::Geometry& geom) {
@@ -390,8 +473,8 @@ bool GeoStore::EvalRelationAt(size_t idx, const geo::Box& query,
   return false;
 }
 
-size_t GeoStore::RunChunked(
-    size_t n, const std::function<void(size_t, size_t, size_t)>& fn) const {
+template <typename Fn>
+size_t GeoStore::RunChunked(size_t n, const Fn& fn) const {
   // Below this size the fork/join overhead dominates any refinement win.
   constexpr size_t kMinItemsPerChunk = 64;
   size_t chunks = 1;
@@ -404,13 +487,21 @@ size_t GeoStore::RunChunked(
     return 1;
   }
   const size_t chunk_size = (n + chunks - 1) / chunks;
+  std::vector<double> busy_secs(chunks, 0.0);
+  const auto start = std::chrono::steady_clock::now();
   pool_->ParallelFor(chunks, [&](size_t c) {
     const size_t begin = c * chunk_size;
     const size_t end = std::min(begin + chunk_size, n);
+    const auto t0 = std::chrono::steady_clock::now();
     if (begin < end) fn(c, begin, end);
+    busy_secs[c] = SecondsSince(t0);
   });
-  // The parallel_chunks counter bump lives at the call sites (which hold
-  // the cached metrics handle) so this hot path does no registry access.
+  const double wall = SecondsSince(start);
+  double busy = 0.0;
+  for (double secs : busy_secs) busy += secs;
+  const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
+  metrics.parallel_chunks->Increment(chunks);
+  if (wall > 0.0) metrics.parallel_speedup->Set(busy / wall);
   return chunks;
 }
 
@@ -418,193 +509,16 @@ Result<std::vector<uint64_t>> GeoStore::SpatialSelect(
     const geo::Box& query, SpatialRelation relation, bool use_index,
     SpatialQueryStats* stats_out, common::QueryProfile* profile_out) const {
   EEA_CHECK(spatial_built_) << "SpatialSelect before Build()";
-  const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
-  common::TraceRequest req("strabon.SpatialSelect");
-  common::ProfileScope pscope;
-  const bool profiling =
-      profile_out != nullptr ||
-      (pscope.is_root() && common::SlowQueryLog::Default().enabled());
-  const auto query_start = std::chrono::steady_clock::now();
-  common::ScopedLatencyTimer query_timer(metrics.query_latency_us);
-  metrics.queries->Increment();
-  SpatialQueryStats stats;
+  Call call("strabon.SpatialSelect", profile_out);
+  const BatchSelectQuery member{query, relation};
   std::vector<uint64_t> out;
-
-  // Cooperative-abort machinery: skip all polling when the request is
-  // unconstrained and no memory budget is set (the common fast path).
-  const common::RequestContext rctx = common::CurrentRequestContext();
-  const uint64_t budget = memory_budget_bytes_;
-  const bool guarded = !rctx.unconstrained() || budget > 0;
-  QueryAbort abort;
-  std::atomic<uint64_t> bytes_used{0};
-  {
-    Status entry = rctx.Check("strabon.SpatialSelect");
-    if (!entry.ok()) {
-      CountAbort(metrics, entry, 0);
-      if (stats_out != nullptr) *stats_out = stats;
-      if (profiling) {
-        common::QueryProfile prof;
-        prof.query = "strabon.SpatialSelect";
-        prof.trace_id = req.trace_id();
-        prof.total_us = SecondsSince(query_start) * 1e6;
-        prof.status = common::StatusCodeToString(entry.code());
-        if (profile_out != nullptr) *profile_out = prof;
-        if (pscope.is_root()) {
-          common::SlowQueryLog::Default().Record(std::move(prof));
-        }
-      }
-      return entry;
-    }
-  }
-
-  // Candidate set: dense arena indices, each carrying the relation's
-  // envelope fast-path verdict in kFastBit (see RefineChunkRange).
-  std::vector<uint32_t> candidates;
-  const auto probe_start = std::chrono::steady_clock::now();
-  const simd::KernelTable& kern = simd::Kernels();
-  if (use_index) {
-    common::TraceSpan probe_span("index_probe");
-    common::ScopedLatencyTimer probe_timer(metrics.probe_latency_us);
-    metrics.index_probes->Increment();
-    metrics.select_traversals->Increment();
-    geo::RTree::TraversalStats tstats;
-    const simd::EnvelopeColumns& eenv = rtree_.entry_envelopes();
-    rtree_.VisitLeavesWith(
-        query,
-        [&](const int64_t* ids, uint32_t first, uint16_t count,
-            uint64_t hits) {
-          // Both envelope predicates are settled here, while the leaf's
-          // SoA slice is hot: the traversal mask answers "intersects",
-          // and one more kernel call over the same slice answers the
-          // relation's fast-path predicate.
-          const simd::EnvelopeSpan slice = eenv.Slice(first, count);
-          const uint64_t fast =
-              relation == SpatialRelation::kContains
-                  ? kern.envelope_contains_query(query, slice)
-                  : kern.query_contains_envelope(query, slice);
-          uint64_t m = hits;
-          while (m != 0) {
-            const int i = std::countr_zero(m);
-            m &= m - 1;
-            candidates.push_back(static_cast<uint32_t>(ids[i]) |
-                                 (((fast >> i) & 1) != 0 ? kFastBit : 0u));
-          }
-          return true;
-        },
-        &tstats);
-    stats.nodes_visited = tstats.nodes_visited;
-  } else {
-    // Baseline: test every geometry (full scan, the GraphDB stand-in).
-    // The envelope verdicts stream sequentially through env_cols_, one
-    // batched kernel call per kBatchMax features — no gather.
-    candidates.resize(geoms_.size());
-    for (uint32_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
-    for (size_t base = 0; base < candidates.size(); base += simd::kBatchMax) {
-      const size_t n = std::min(simd::kBatchMax, candidates.size() - base);
-      const simd::EnvelopeSpan slice = env_cols_.Slice(base, n);
-      uint64_t fast = relation == SpatialRelation::kContains
-                          ? kern.envelope_contains_query(query, slice)
-                          : kern.query_contains_envelope(query, slice);
-      while (fast != 0) {
-        const int i = std::countr_zero(fast);
-        fast &= fast - 1;
-        candidates[base + static_cast<size_t>(i)] |= kFastBit;
-      }
-    }
-  }
-  stats.candidates = candidates.size();
-  const double probe_secs = SecondsSince(probe_start);
-
-  // Refinement, partitioned across the pool: thread-local result vectors
-  // and stats, merged in chunk order (final order fixed by the sort).
-  // Each worker batch-tests envelopes kRefineBlock candidates at a time
-  // through the geo::simd kernels (see RefineChunkRange).
-  const auto refine_start = std::chrono::steady_clock::now();
-  std::vector<std::vector<uint64_t>> chunk_out;
-  std::vector<SpatialQueryStats> chunk_stats;
-  std::vector<double> chunk_secs;
-  const size_t max_chunks = std::max<size_t>(1, num_threads_);
-  chunk_out.resize(max_chunks);
-  chunk_stats.resize(max_chunks);
-  chunk_secs.assign(max_chunks, 0.0);
-  const std::optional<geo::Geometry> rect = ContainsRectFor(query, relation);
-  RefineJob job;
-  job.candidates = &candidates;
-  job.query = query;
-  job.relation = relation;
-  job.contains_rect = rect.has_value() ? &*rect : nullptr;
-  job.geoms = &geoms_;
-  job.subjects = &geom_subjects_;
-  job.guarded = guarded;
-  job.rctx = &rctx;
-  job.who = "strabon.SpatialSelect";
-  job.abort = &abort;
-  job.budget = budget;
-  job.bytes_used = &bytes_used;
-  const size_t used =
-      RunChunked(candidates.size(), [&](size_t c, size_t begin, size_t end) {
-        const auto t0 = std::chrono::steady_clock::now();
-        RefineChunkRange(job, begin, end, &chunk_out[c], &chunk_stats[c]);
-        metrics.chunk_candidates->Observe(static_cast<double>(end - begin));
-        chunk_secs[c] = SecondsSince(t0);
-      });
-  if (used > 1) metrics.parallel_chunks->Increment(used);
-  stats.threads_used = used;
-  for (size_t c = 0; c < used; ++c) {
-    MergeStats(chunk_stats[c], &stats);
-    out.insert(out.end(), chunk_out[c].begin(), chunk_out[c].end());
-  }
-  if (used > 1) {
-    const double wall = SecondsSince(refine_start);
-    double busy = 0.0;
-    for (size_t c = 0; c < used; ++c) busy += chunk_secs[c];
-    if (wall > 0.0) metrics.parallel_speedup->Set(busy / wall);
-  }
-
-  // A triggered abort discards the (partial) result set but keeps the
-  // partial-work accounting: stats, counters, and the profile all record
-  // how far the query got before it was stopped.
-  Status abort_status;
-  if (abort.triggered()) {
-    abort_status = abort.ToStatus("strabon.SpatialSelect");
-    CountAbort(metrics, abort_status, stats.chunks_cancelled);
-  } else {
-    std::sort(out.begin(), out.end());
-    stats.results = out.size();
-    metrics.results->Increment(out.size());
-    metrics.envelope_hits->Increment(stats.envelope_hits);
-    metrics.result_cardinality->Observe(static_cast<double>(out.size()));
-  }
+  SpatialQueryStats stats;
+  const Status status = Select(call, {&member, 1}, use_index, "index_probe",
+                               {&out, 1}, &stats);
   if (stats_out != nullptr) *stats_out = stats;
-  if (profiling) {
-    common::QueryProfile prof;
-    prof.query = "strabon.SpatialSelect";
-    prof.trace_id = req.trace_id();
-    prof.total_us = SecondsSince(query_start) * 1e6;
-    if (!abort_status.ok()) {
-      prof.status = common::StatusCodeToString(abort_status.code());
-    }
-    common::OperatorProfile probe_op;
-    probe_op.name = use_index ? "index_probe" : "full_scan";
-    probe_op.wall_us = probe_secs * 1e6;
-    probe_op.rows_in = geoms_.size();
-    probe_op.rows_out = stats.candidates;
-    prof.operators.push_back(std::move(probe_op));
-    common::OperatorProfile refine_op;
-    refine_op.name = "refine";
-    refine_op.wall_us = SecondsSince(refine_start) * 1e6;
-    refine_op.rows_in = stats.candidates;
-    refine_op.rows_out = stats.results;
-    refine_op.envelope_hits = stats.envelope_hits;
-    refine_op.chunks = used;
-    refine_op.threads = used > 1 ? num_threads_ : 1;
-    prof.operators.push_back(std::move(refine_op));
-    if (profile_out != nullptr) *profile_out = prof;
-    if (pscope.is_root()) {
-      common::SlowQueryLog::Default().Record(std::move(prof));
-    }
-  }
-  if (!abort_status.ok()) return abort_status;
+  if (!status.ok()) return status;
+  GeoStoreMetrics::Get().result_cardinality->Observe(
+      static_cast<double>(out.size()));
   return out;
 }
 
@@ -612,19 +526,14 @@ Result<std::vector<std::vector<uint64_t>>> GeoStore::SpatialSelectBatch(
     const std::vector<BatchSelectQuery>& queries,
     SpatialQueryStats* stats_out) const {
   EEA_CHECK(spatial_built_) << "SpatialSelectBatch before Build()";
-  const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
-  common::TraceRequest req("strabon.SpatialSelectBatch");
-  common::ScopedLatencyTimer query_timer(metrics.query_latency_us);
-  metrics.queries->Increment();
-  metrics.batch_queries->Increment(queries.size());
+  Call call("strabon.SpatialSelectBatch", /*profile_out=*/nullptr);
+  GeoStoreMetrics::Get().batch_queries->Increment(queries.size());
   SpatialQueryStats stats;
   std::vector<std::vector<uint64_t>> out(queries.size());
   if (queries.empty()) {
     if (stats_out != nullptr) *stats_out = stats;
     return out;
   }
-  const common::RequestContext rctx = common::CurrentRequestContext();
-  EEA_RETURN_NOT_OK(rctx.Check("strabon.SpatialSelectBatch"));
 
   // Deduplicate identical (box, relation) members: N identical concurrent
   // selections refine once and fan the result out. Batches are broker-
@@ -648,109 +557,185 @@ Result<std::vector<std::vector<uint64_t>>> GeoStore::SpatialSelectBatch(
     if (u == unique.size()) unique.push_back(queries[i]);
     unique_of[i] = u;
   }
+  std::vector<std::vector<uint64_t>> unique_out(unique.size());
+  const Status status = Select(call, unique, /*use_index=*/true,
+                               "batch_index_probe", unique_out, &stats);
+  if (stats_out != nullptr) *stats_out = stats;
+  if (!status.ok()) return status;
+  for (size_t i = 0; i < queries.size(); ++i) out[i] = unique_out[unique_of[i]];
+  return out;
+}
 
-  // ONE shared traversal over the union of the query boxes, demuxing each
-  // touched leaf to the members whose own box it intersects. Candidates
-  // per unique query are exactly the entries that query's own traversal
-  // would have collected: a member's intersection mask over a leaf slice
-  // is a subset of the union-box hit mask (member box inside ubox), so
-  // testing the member's box directly both demuxes and prunes. Only the
-  // candidate order differs from a solo traversal, which the final sort
-  // erases. The relation's envelope fast-path verdict rides along in
-  // kFastBit exactly as in the single-query probe.
-  geo::Box ubox = unique[0].box;
-  for (size_t j = 1; j < unique.size(); ++j) {
-    ubox.min_x = std::min(ubox.min_x, unique[j].box.min_x);
-    ubox.min_y = std::min(ubox.min_y, unique[j].box.min_y);
-    ubox.max_x = std::max(ubox.max_x, unique[j].box.max_x);
-    ubox.max_y = std::max(ubox.max_y, unique[j].box.max_y);
+Status GeoStore::Select(Call& call, std::span<const BatchSelectQuery> members,
+                        bool use_index, const char* probe_name,
+                        std::span<std::vector<uint64_t>> out,
+                        SpatialQueryStats* stats) const {
+  Status status = call.Enter();
+  if (!status.ok()) {
+    call.Finish(status);
+    return status;
+  }
+  // Candidate sets: dense arena indices, each carrying its member's
+  // envelope fast-path verdict in kFastBit (see RefineChunkRange).
+  std::vector<std::vector<uint32_t>> cand(members.size());
+  const auto probe_start = std::chrono::steady_clock::now();
+  if (use_index) {
+    stats->nodes_visited = ProbeIndex(probe_name, members, cand);
+  } else {
+    // Baseline: test every geometry (full scan, the GraphDB stand-in).
+    // The envelope verdicts stream sequentially through env_cols_, one
+    // batched kernel call per kBatchMax features — no gather.
+    const BatchSelectQuery& q = members[0];
+    const simd::KernelTable& kern = simd::Kernels();
+    std::vector<uint32_t>& all = cand[0];
+    all.resize(geoms_.size());
+    for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+    for (size_t base = 0; base < all.size(); base += simd::kBatchMax) {
+      const size_t n = std::min(simd::kBatchMax, all.size() - base);
+      const simd::EnvelopeSpan slice = env_cols_.Slice(base, n);
+      uint64_t fast = q.relation == SpatialRelation::kContains
+                          ? kern.envelope_contains_query(q.box, slice)
+                          : kern.query_contains_envelope(q.box, slice);
+      while (fast != 0) {
+        const int i = std::countr_zero(fast);
+        fast &= fast - 1;
+        all[base + static_cast<size_t>(i)] |= kFastBit;
+      }
+    }
+  }
+  const double probe_secs = SecondsSince(probe_start);
+
+  const auto refine_start = std::chrono::steady_clock::now();
+  for (size_t j = 0; j < members.size() && status.ok(); ++j) {
+    stats->candidates += cand[j].size();
+    status = Refine(call, members[j], cand[j], stats, &out[j]);
+  }
+  // An abort discards the (partial) result sets but keeps the
+  // partial-work accounting: stats, counters, and the profile all record
+  // how far the query got before it was stopped.
+  if (status.ok()) {
+    const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
+    metrics.results->Increment(stats->results);
+    metrics.envelope_hits->Increment(stats->envelope_hits);
+  }
+  if (common::QueryProfile* prof = call.profile()) {
+    common::OperatorProfile probe_op;
+    probe_op.name = use_index ? probe_name : "full_scan";
+    probe_op.wall_us = probe_secs * 1e6;
+    probe_op.rows_in = geoms_.size();
+    probe_op.rows_out = stats->candidates;
+    prof->operators.push_back(std::move(probe_op));
+    common::OperatorProfile refine_op;
+    refine_op.name = "refine";
+    refine_op.wall_us = SecondsSince(refine_start) * 1e6;
+    refine_op.rows_in = stats->candidates;
+    refine_op.rows_out = stats->results;
+    refine_op.envelope_hits = stats->envelope_hits;
+    refine_op.chunks = stats->threads_used;
+    refine_op.threads = stats->threads_used > 1 ? num_threads_ : 1;
+    prof->operators.push_back(std::move(refine_op));
+  }
+  call.Finish(status);
+  return status;
+}
+
+uint64_t GeoStore::ProbeIndex(const char* span_name,
+                              std::span<const BatchSelectQuery> members,
+                              std::span<std::vector<uint32_t>> cand) const {
+  const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
+  common::TraceSpan probe_span(span_name);
+  common::ScopedLatencyTimer probe_timer(metrics.probe_latency_us);
+  metrics.index_probes->Increment();
+  metrics.select_traversals->Increment();
+  // ONE traversal over the union of the member boxes, demuxing each
+  // touched leaf to the members whose own box it intersects. A member's
+  // intersection mask over a leaf slice is a subset of the union-box hit
+  // mask (member box inside ubox), so testing the member's box directly
+  // both demuxes and prunes: each member collects exactly the entries a
+  // traversal of its own box would. Only the candidate order differs,
+  // which refinement's final sort erases.
+  geo::Box ubox = members[0].box;
+  for (const BatchSelectQuery& m : members.subspan(1)) {
+    ubox.min_x = std::min(ubox.min_x, m.box.min_x);
+    ubox.min_y = std::min(ubox.min_y, m.box.min_y);
+    ubox.max_x = std::max(ubox.max_x, m.box.max_x);
+    ubox.max_y = std::max(ubox.max_y, m.box.max_y);
   }
   const simd::KernelTable& kern = simd::Kernels();
-  std::vector<std::vector<uint32_t>> cand(unique.size());
-  {
-    common::TraceSpan probe_span("batch_index_probe");
-    common::ScopedLatencyTimer probe_timer(metrics.probe_latency_us);
-    metrics.index_probes->Increment();
-    metrics.select_traversals->Increment();
-    geo::RTree::TraversalStats tstats;
-    const simd::EnvelopeColumns& eenv = rtree_.entry_envelopes();
-    rtree_.VisitLeavesWith(
-        ubox,
-        [&](const int64_t* ids, uint32_t first, uint16_t count,
-            uint64_t /*union_hits*/) {
-          const simd::EnvelopeSpan slice = eenv.Slice(first, count);
-          for (size_t j = 0; j < unique.size(); ++j) {
-            uint64_t m = kern.envelope_intersects(unique[j].box, slice);
-            if (m == 0) continue;
-            const uint64_t fast =
-                unique[j].relation == SpatialRelation::kContains
-                    ? kern.envelope_contains_query(unique[j].box, slice)
-                    : kern.query_contains_envelope(unique[j].box, slice);
-            while (m != 0) {
-              const int i = std::countr_zero(m);
-              m &= m - 1;
-              cand[j].push_back(static_cast<uint32_t>(ids[i]) |
-                                (((fast >> i) & 1) != 0 ? kFastBit : 0u));
-            }
+  const simd::EnvelopeColumns& eenv = rtree_.entry_envelopes();
+  geo::RTree::TraversalStats tstats;
+  rtree_.VisitLeavesWith(
+      ubox,
+      [&](const int64_t* ids, uint32_t first, uint16_t count, uint64_t hits) {
+        // Both envelope predicates are settled here, while the leaf's SoA
+        // slice is hot: the intersection mask, and one more kernel call
+        // over the same slice for the relation's fast-path predicate.
+        const simd::EnvelopeSpan slice = eenv.Slice(first, count);
+        for (size_t j = 0; j < members.size(); ++j) {
+          const BatchSelectQuery& q = members[j];
+          // A lone member's box is the union box: `hits` is its mask.
+          uint64_t m = members.size() == 1
+                           ? hits
+                           : kern.envelope_intersects(q.box, slice);
+          if (m == 0) continue;
+          const uint64_t fast =
+              q.relation == SpatialRelation::kContains
+                  ? kern.envelope_contains_query(q.box, slice)
+                  : kern.query_contains_envelope(q.box, slice);
+          std::vector<uint32_t>& dst = cand[j];
+          while (m != 0) {
+            const int i = std::countr_zero(m);
+            m &= m - 1;
+            dst.push_back(static_cast<uint32_t>(ids[i]) |
+                          (((fast >> i) & 1) != 0 ? kFastBit : 0u));
           }
-          return true;
-        },
-        &tstats);
-    stats.nodes_visited = tstats.nodes_visited;
-  }
+        }
+        return true;
+      },
+      &tstats);
+  return tstats.nodes_visited;
+}
 
-  // Per-unique-query refinement (chunked across the pool exactly like the
-  // single-query path); results land in every member slot that mapped to
-  // the unique query. A fired deadline/cancel aborts the whole batch.
-  std::vector<std::vector<uint64_t>> unique_out(unique.size());
-  const bool guarded = !rctx.unconstrained();
-  for (size_t j = 0; j < unique.size(); ++j) {
-    const std::vector<uint32_t>& cs = cand[j];
-    stats.candidates += cs.size();
-    const size_t max_chunks = std::max<size_t>(1, num_threads_);
-    std::vector<std::vector<uint64_t>> chunk_out(max_chunks);
-    std::vector<SpatialQueryStats> chunk_stats(max_chunks);
-    QueryAbort abort;
-    const std::optional<geo::Geometry> rect =
-        ContainsRectFor(unique[j].box, unique[j].relation);
-    RefineJob job;
-    job.candidates = &cs;
-    job.query = unique[j].box;
-    job.relation = unique[j].relation;
-    job.contains_rect = rect.has_value() ? &*rect : nullptr;
-    job.geoms = &geoms_;
-    job.subjects = &geom_subjects_;
-    job.guarded = guarded;
-    job.rctx = &rctx;
-    job.who = "strabon.SpatialSelectBatch";
-    job.abort = &abort;
-    job.budget = 0;  // the batch path has no per-member memory budget
-    job.bytes_used = nullptr;
-    const size_t used =
-        RunChunked(cs.size(), [&](size_t c, size_t begin, size_t end) {
-          RefineChunkRange(job, begin, end, &chunk_out[c], &chunk_stats[c]);
-        });
-    if (used > 1) metrics.parallel_chunks->Increment(used);
-    stats.threads_used = std::max<uint64_t>(stats.threads_used, used);
-    std::vector<uint64_t>& merged = unique_out[j];
-    for (size_t c = 0; c < used; ++c) {
-      MergeStats(chunk_stats[c], &stats);
-      merged.insert(merged.end(), chunk_out[c].begin(), chunk_out[c].end());
-    }
-    if (abort.triggered()) {
-      Status abort_status = abort.ToStatus("strabon.SpatialSelectBatch");
-      CountAbort(metrics, abort_status, stats.chunks_cancelled);
-      if (stats_out != nullptr) *stats_out = stats;
-      return abort_status;
-    }
-    std::sort(merged.begin(), merged.end());
-    stats.results += merged.size();
+Status GeoStore::Refine(const Call& call, const BatchSelectQuery& member,
+                        const std::vector<uint32_t>& cand,
+                        SpatialQueryStats* stats,
+                        std::vector<uint64_t>* out) const {
+  // Partitioned across the pool: thread-local result vectors and stats,
+  // merged in chunk order (final order fixed by the sort).
+  const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
+  struct Chunk {
+    std::vector<uint64_t> ids;
+    SpatialQueryStats stats;
+  };
+  std::vector<Chunk> chunks(std::max<size_t>(1, num_threads_));
+  QueryAbort abort(call.rctx(), call.name(), memory_budget_bytes_);
+  const std::optional<geo::Geometry> rect =
+      ContainsRectFor(member.box, member.relation);
+  const RefineJob job{.candidates = &cand,
+                      .query = member.box,
+                      .relation = member.relation,
+                      .contains_rect = rect.has_value() ? &*rect : nullptr,
+                      .geoms = &geoms_,
+                      .subjects = &geom_subjects_,
+                      .abort = &abort};
+  const size_t used =
+      RunChunked(cand.size(), [&](size_t c, size_t begin, size_t end) {
+        RefineChunkRange(job, begin, end, &chunks[c].ids, &chunks[c].stats);
+        metrics.chunk_candidates->Observe(static_cast<double>(end - begin));
+      });
+  stats->threads_used = std::max<uint64_t>(stats->threads_used, used);
+  for (size_t c = 0; c < used; ++c) {
+    MergeStats(chunks[c].stats, stats);
+    out->insert(out->end(), chunks[c].ids.begin(), chunks[c].ids.end());
   }
-  for (size_t i = 0; i < queries.size(); ++i) out[i] = unique_out[unique_of[i]];
-  metrics.results->Increment(stats.results);
-  metrics.envelope_hits->Increment(stats.envelope_hits);
-  if (stats_out != nullptr) *stats_out = stats;
-  return out;
+  if (abort.triggered()) {
+    Status s = abort.ToStatus();
+    CountAbort(metrics, s, stats->chunks_cancelled);
+    return s;
+  }
+  std::sort(out->begin(), out->end());
+  stats->results += out->size();
+  return Status::OK();
 }
 
 Result<std::vector<rdf::Binding>> GeoStore::QueryWithSpatialFilter(
@@ -758,46 +743,22 @@ Result<std::vector<rdf::Binding>> GeoStore::QueryWithSpatialFilter(
     const geo::Box& query_box, bool use_index,
     SpatialQueryStats* stats_out, common::QueryProfile* profile_out) const {
   EEA_CHECK(spatial_built_) << "spatial query before Build()";
-  const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
-  common::TraceRequest req("strabon.QueryWithSpatialFilter");
-  common::ProfileScope pscope;
-  const bool profiling =
-      profile_out != nullptr ||
-      (pscope.is_root() && common::SlowQueryLog::Default().enabled());
-  const auto query_start = std::chrono::steady_clock::now();
-  common::ScopedLatencyTimer query_timer(metrics.query_latency_us);
-  metrics.queries->Increment();
-  common::QueryProfile prof;
-  prof.query = "strabon.QueryWithSpatialFilter";
-  prof.trace_id = req.trace_id();
-  auto finish_profile = [&] {
-    if (!profiling) return;
-    prof.total_us = SecondsSince(query_start) * 1e6;
-    if (profile_out != nullptr) *profile_out = prof;
-    if (pscope.is_root()) {
-      common::SlowQueryLog::Default().Record(std::move(prof));
-    }
-  };
+  Call call("strabon.QueryWithSpatialFilter", profile_out);
   auto add_op = [&](const char* name, double secs, uint64_t rows_in,
                     uint64_t rows_out) -> common::OperatorProfile* {
-    if (!profiling) return nullptr;
+    common::QueryProfile* prof = call.profile();
+    if (prof == nullptr) return nullptr;
     common::OperatorProfile op;
     op.name = name;
     op.wall_us = secs * 1e6;
     op.rows_in = rows_in;
     op.rows_out = rows_out;
-    prof.operators.push_back(std::move(op));
-    return &prof.operators.back();
+    prof->operators.push_back(std::move(op));
+    return &prof->operators.back();
   };
-  const common::RequestContext rctx = common::CurrentRequestContext();
-  {
-    Status entry = rctx.Check("strabon.QueryWithSpatialFilter");
-    if (!entry.ok()) {
-      CountAbort(metrics, entry, 0);
-      prof.status = common::StatusCodeToString(entry.code());
-      finish_profile();
-      return entry;
-    }
+  if (Status entry = call.Enter(); !entry.ok()) {
+    call.Finish(entry);
+    return entry;
   }
   rdf::QueryEngine engine(&store_);
   if (use_index) {
@@ -809,9 +770,7 @@ Result<std::vector<rdf::Binding>> GeoStore::QueryWithSpatialFilter(
         SpatialSelect(query_box, SpatialRelation::kIntersects, true, &stats);
     if (!subjects_result.ok()) {
       if (stats_out != nullptr) *stats_out = stats;
-      prof.status =
-          common::StatusCodeToString(subjects_result.status().code());
-      finish_profile();
+      call.Finish(subjects_result.status());
       return subjects_result.status();
     }
     std::vector<uint64_t> subjects = std::move(*subjects_result);
@@ -825,7 +784,7 @@ Result<std::vector<rdf::Binding>> GeoStore::QueryWithSpatialFilter(
     if (stats_out != nullptr) *stats_out = stats;
     // No subject survives the spatial constraint: skip the BGP entirely.
     if (subjects.empty()) {
-      finish_profile();
+      call.Finish();
       return std::vector<rdf::Binding>{};
     }
     std::vector<rdf::Binding> out;
@@ -843,7 +802,7 @@ Result<std::vector<rdf::Binding>> GeoStore::QueryWithSpatialFilter(
     }
     add_op("subject_filter", SecondsSince(filter_start), rows.size(),
            out.size());
-    finish_profile();
+    call.Finish();
     return out;
   }
   // Baseline: evaluate the BGP, then test each binding's geometry.
@@ -853,17 +812,14 @@ Result<std::vector<rdf::Binding>> GeoStore::QueryWithSpatialFilter(
   add_op("bgp", SecondsSince(bgp_start), 0, rows.size());
   std::vector<rdf::Binding> out;
   const auto filter_start = std::chrono::steady_clock::now();
-  const bool guarded = !rctx.unconstrained();
+  QueryAbort abort(call.rctx(), call.name(), /*budget=*/0);
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (guarded && (i % kPollStride) == 0) {
-      Status s = rctx.Check("strabon.QueryWithSpatialFilter");
-      if (!s.ok()) {
-        CountAbort(metrics, s, 1);
-        if (stats_out != nullptr) *stats_out = stats;
-        prof.status = common::StatusCodeToString(s.code());
-        finish_profile();
-        return s;
-      }
+    if (abort.Poll(i)) {
+      const Status s = abort.ToStatus();
+      CountAbort(GeoStoreMetrics::Get(), s, 1);
+      if (stats_out != nullptr) *stats_out = stats;
+      call.Finish(s);
+      return s;
     }
     rdf::Binding& b = rows[i];
     auto it = b.find(subject_var);
@@ -882,7 +838,7 @@ Result<std::vector<rdf::Binding>> GeoStore::QueryWithSpatialFilter(
   }
   stats.results = out.size();
   if (stats_out != nullptr) *stats_out = stats;
-  finish_profile();
+  call.Finish();
   return out;
 }
 
@@ -909,43 +865,18 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
     SpatialRelation relation, bool use_index,
     SpatialQueryStats* stats_out, common::QueryProfile* profile_out) const {
   EEA_CHECK(spatial_built_) << "SpatialJoin before Build()";
+  Call call("strabon.SpatialJoin", profile_out);
   const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
-  common::TraceRequest req("strabon.SpatialJoin");
-  common::ProfileScope pscope;
-  const bool profiling =
-      profile_out != nullptr ||
-      (pscope.is_root() && common::SlowQueryLog::Default().enabled());
-  const auto query_start = std::chrono::steady_clock::now();
-  common::ScopedLatencyTimer query_timer(metrics.query_latency_us);
-  metrics.queries->Increment();
   SpatialQueryStats stats;
+  if (Status entry = call.Enter(); !entry.ok()) {
+    if (stats_out != nullptr) *stats_out = stats;
+    call.Finish(entry);
+    return entry;
+  }
   // Cooperative abort: joins are the runaway-memory risk (output is
   // quadratic in the worst case), so the per-query byte budget is
   // enforced here on every emitted pair, alongside deadline/cancel polls.
-  const common::RequestContext rctx = common::CurrentRequestContext();
-  const uint64_t budget = memory_budget_bytes_;
-  const bool guarded = !rctx.unconstrained() || budget > 0;
-  QueryAbort abort;
-  std::atomic<uint64_t> bytes_used{0};
-  {
-    Status entry = rctx.Check("strabon.SpatialJoin");
-    if (!entry.ok()) {
-      CountAbort(metrics, entry, 0);
-      if (stats_out != nullptr) *stats_out = stats;
-      if (profiling) {
-        common::QueryProfile prof;
-        prof.query = "strabon.SpatialJoin";
-        prof.trace_id = req.trace_id();
-        prof.total_us = SecondsSince(query_start) * 1e6;
-        prof.status = common::StatusCodeToString(entry.code());
-        if (profile_out != nullptr) *profile_out = prof;
-        if (pscope.is_root()) {
-          common::SlowQueryLog::Default().Record(std::move(prof));
-        }
-      }
-      return entry;
-    }
-  }
+  QueryAbort abort(call.rctx(), call.name(), memory_budget_bytes_);
   // Members of a class that carry geometry, as dense arena indices.
   auto members_of = [&](const std::string& class_iri) {
     std::vector<uint32_t> out;
@@ -974,7 +905,6 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
   const size_t max_chunks = std::max<size_t>(1, num_threads_);
   std::vector<Pairs> chunk_out(max_chunks);
   std::vector<SpatialQueryStats> chunk_stats(max_chunks);
-  std::vector<double> chunk_secs(max_chunks, 0.0);
   size_t used = 1;
   if (use_index) {
     // Probe the shared R-tree with each a-envelope; restrict hits to B
@@ -987,26 +917,15 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
     const simd::KernelTable& kern = simd::Kernels();
     const simd::EnvelopeColumns& eenv = rtree_.entry_envelopes();
     used = RunChunked(as.size(), [&](size_t c, size_t begin, size_t end) {
-      const auto t0 = std::chrono::steady_clock::now();
       Pairs& local = chunk_out[c];
       SpatialQueryStats& lstats = chunk_stats[c];
       geo::RTree::TraversalStats tstats;
       std::vector<uint32_t> buf;  // b-candidates of one probe, reused
       bool stopped = false;
       for (size_t i = begin; i < end; ++i) {
-        if (guarded) {
-          if (abort.triggered()) {
-            stopped = true;
-            break;
-          }
-          if (((i - begin) % kPollStride) == 0) {
-            Status s = rctx.Check("strabon.SpatialJoin");
-            if (!s.ok()) {
-              abort.Trigger(s.code());
-              stopped = true;
-              break;
-            }
-          }
+        if (abort.Poll(i - begin)) {
+          stopped = true;
+          break;
         }
         const uint32_t a = as[i];
         const geo::Geometry& ga = geoms_[a];
@@ -1059,16 +978,9 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
           }
           if (match) {
             local.emplace_back(geom_subjects_[a], geom_subjects_[b]);
-            if (budget > 0) {
-              const uint64_t now_used =
-                  bytes_used.fetch_add(sizeof(local[0]),
-                                       std::memory_order_relaxed) +
-                  sizeof(local[0]);
-              if (now_used > budget) {
-                abort.Trigger(common::StatusCode::kResourceExhausted);
-                stopped = true;
-                break;
-              }
+            if (abort.Charge(sizeof(local[0]))) {
+              stopped = true;
+              break;
             }
           }
         }
@@ -1076,28 +988,16 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
       }
       if (stopped) lstats.chunks_cancelled = 1;
       lstats.nodes_visited += tstats.nodes_visited;
-      chunk_secs[c] = SecondsSince(t0);
     });
   } else {
     used = RunChunked(as.size(), [&](size_t c, size_t begin, size_t end) {
-      const auto t0 = std::chrono::steady_clock::now();
       Pairs& local = chunk_out[c];
       SpatialQueryStats& lstats = chunk_stats[c];
       bool stopped = false;
       for (size_t i = begin; i < end && !stopped; ++i) {
-        if (guarded) {
-          if (abort.triggered()) {
-            stopped = true;
-            break;
-          }
-          if (((i - begin) % kPollStride) == 0) {
-            Status s = rctx.Check("strabon.SpatialJoin");
-            if (!s.ok()) {
-              abort.Trigger(s.code());
-              stopped = true;
-              break;
-            }
-          }
+        if (abort.Poll(i - begin)) {
+          stopped = true;
+          break;
         }
         const uint32_t a = as[i];
         const geo::Geometry& ga = geoms_[a];
@@ -1106,56 +1006,33 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
           // The inner loop dominates the baseline join, so the poll
           // rides the candidate count: one clock read per kPollStride
           // geometry tests.
-          if (guarded && (lstats.candidates % kPollStride) == 0) {
-            if (abort.triggered()) {
-              stopped = true;
-              break;
-            }
-            Status s = rctx.Check("strabon.SpatialJoin");
-            if (!s.ok()) {
-              abort.Trigger(s.code());
-              stopped = true;
-              break;
-            }
+          if (abort.Poll(lstats.candidates)) {
+            stopped = true;
+            break;
           }
           ++lstats.candidates;
           ++lstats.geometry_tests;
           if (EvalGeomRelation(ga, geoms_[b], relation)) {
             local.emplace_back(geom_subjects_[a], geom_subjects_[b]);
-            if (budget > 0) {
-              const uint64_t now_used =
-                  bytes_used.fetch_add(sizeof(local[0]),
-                                       std::memory_order_relaxed) +
-                  sizeof(local[0]);
-              if (now_used > budget) {
-                abort.Trigger(common::StatusCode::kResourceExhausted);
-                stopped = true;
-                break;
-              }
+            if (abort.Charge(sizeof(local[0]))) {
+              stopped = true;
+              break;
             }
           }
         }
       }
       if (stopped) lstats.chunks_cancelled = 1;
-      chunk_secs[c] = SecondsSince(t0);
     });
   }
-  if (used > 1) metrics.parallel_chunks->Increment(used);
   stats.threads_used = used;
   Pairs out;
   for (size_t c = 0; c < used; ++c) {
     MergeStats(chunk_stats[c], &stats);
     out.insert(out.end(), chunk_out[c].begin(), chunk_out[c].end());
   }
-  if (used > 1) {
-    const double wall = SecondsSince(probe_start);
-    double busy = 0.0;
-    for (size_t c = 0; c < used; ++c) busy += chunk_secs[c];
-    if (wall > 0.0) metrics.parallel_speedup->Set(busy / wall);
-  }
   Status abort_status;
   if (abort.triggered()) {
-    abort_status = abort.ToStatus("strabon.SpatialJoin");
+    abort_status = abort.ToStatus();
     CountAbort(metrics, abort_status, stats.chunks_cancelled);
   } else {
     std::sort(out.begin(), out.end());
@@ -1165,19 +1042,12 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
     metrics.result_cardinality->Observe(static_cast<double>(out.size()));
   }
   if (stats_out != nullptr) *stats_out = stats;
-  if (profiling) {
-    common::QueryProfile prof;
-    prof.query = "strabon.SpatialJoin";
-    prof.trace_id = req.trace_id();
-    prof.total_us = SecondsSince(query_start) * 1e6;
-    if (!abort_status.ok()) {
-      prof.status = common::StatusCodeToString(abort_status.code());
-    }
+  if (common::QueryProfile* prof = call.profile()) {
     common::OperatorProfile members_op;
     members_op.name = "members_scan";
     members_op.wall_us = members_secs * 1e6;
     members_op.rows_out = as.size() + bs.size();
-    prof.operators.push_back(std::move(members_op));
+    prof->operators.push_back(std::move(members_op));
     common::OperatorProfile probe_op;
     probe_op.name = use_index ? "index_probe_join" : "nested_loop_join";
     probe_op.wall_us = SecondsSince(probe_start) * 1e6;
@@ -1186,12 +1056,9 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
     probe_op.envelope_hits = stats.envelope_hits;
     probe_op.chunks = used;
     probe_op.threads = used > 1 ? num_threads_ : 1;
-    prof.operators.push_back(std::move(probe_op));
-    if (profile_out != nullptr) *profile_out = prof;
-    if (pscope.is_root()) {
-      common::SlowQueryLog::Default().Record(std::move(prof));
-    }
+    prof->operators.push_back(std::move(probe_op));
   }
+  call.Finish(abort_status);
   if (!abort_status.ok()) return abort_status;
   return out;
 }

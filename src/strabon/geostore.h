@@ -21,10 +21,14 @@
 // (contiguous, index-addressed) form with batched child pruning, and the
 // refinement loops evaluate envelope predicates 16 candidates per
 // geo::simd kernel call (scalar or AVX2 — byte-identical either way).
-// With set_num_threads(n > 1) the refinement step of SpatialSelect and
-// the probe loop of SpatialJoin are partitioned across a
-// common::ThreadPool; results are merged deterministically and are
-// byte-identical to the single-threaded path.
+//
+// Every spatial selection takes one path: one probe (a single R-tree
+// traversal over the union of its members' boxes — SpatialSelect is a
+// batch of one — or the baseline full scan), then one refinement per
+// member. With set_num_threads(n > 1) each refinement and the probe loop
+// of SpatialJoin are partitioned across a common::ThreadPool; results
+// are merged deterministically and are byte-identical to the
+// single-threaded path.
 //
 // Each query method opens a common::TraceRequest, so with the
 // EventRecorder enabled the probe and every refinement chunk appear as
@@ -32,13 +36,14 @@
 // enabled (or a `profile` out-param passed) a per-operator QueryProfile
 // is built as well.
 //
-// Queries are cooperative: refinement and probe chunks poll the ambient
-// common::RequestContext (deadline + cancel token) and a shared abort
-// flag at chunk-stride granularity, so a query whose deadline expires —
-// or whose join output outgrows the per-query memory budget — stops all
-// its workers within a few dozen geometry tests and returns
-// DeadlineExceeded / Cancelled / ResourceExhausted. Partial work is
-// accounted in SpatialQueryStats (chunks_cancelled) and the
+// Queries are cooperative: each method checks the ambient
+// common::RequestContext (deadline + cancel token) on entry, and
+// refinement and probe chunks poll it and a shared abort flag at
+// chunk-stride granularity, so a query whose deadline expires — or whose
+// result set outgrows the per-query memory budget — stops all its
+// workers within a few dozen geometry tests and returns DeadlineExceeded
+// / Cancelled / ResourceExhausted. Partial work is accounted in
+// SpatialQueryStats (chunks_cancelled) and the
 // strabon.geostore.{deadline_exceeded,cancelled,memory_budget_exceeded,
 // chunks_cancelled} counters.
 
@@ -46,8 +51,8 @@
 #define EXEARTH_STRABON_GEOSTORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -158,9 +163,9 @@ class GeoStore {
   /// The aggregate work across the whole batch is written to `stats`;
   /// strabon.geostore.select_traversals counts 1 here vs 1 per query on
   /// the unbatched path (the serving layer's batching win in metrics).
-  /// Honors the ambient RequestContext at batch granularity: a deadline /
-  /// cancellation aborts the whole batch (per-member deadlines are the
-  /// caller's concern — the broker checks them at demux).
+  /// Honors the ambient RequestContext and the memory budget (applied to
+  /// each deduplicated member) exactly like SpatialSelect; any abort fails
+  /// the whole batch.
   common::Result<std::vector<std::vector<uint64_t>>> SpatialSelectBatch(
       const std::vector<BatchSelectQuery>& queries,
       SpatialQueryStats* stats = nullptr) const;
@@ -232,9 +237,37 @@ class GeoStore {
                       SpatialRelation relation, SpatialQueryStats* stats) const;
 
   /// Runs fn(chunk, begin, end) over [0, n) split into `chunks` ranges,
-  /// on the pool when parallel, inline otherwise. Returns chunks used.
-  size_t RunChunked(size_t n,
-                    const std::function<void(size_t, size_t, size_t)>& fn) const;
+  /// on the pool when parallel (counting the chunks and setting the
+  /// parallel-speedup gauge), inline otherwise. Returns chunks used.
+  template <typename Fn>
+  size_t RunChunked(size_t n, const Fn& fn) const;
+
+  /// Trace root, latency timer, queries counter, entry check and profile
+  /// of one query method call; defined in geostore.cc.
+  class Call;
+
+  /// The select body: entry check, one probe for all `members` (the full
+  /// scan of a lone member when !use_index), one Refine per member into
+  /// out[j], result counters and profile operators.
+  common::Status Select(Call& call, std::span<const BatchSelectQuery> members,
+                        bool use_index, const char* probe_name,
+                        std::span<std::vector<uint64_t>> out,
+                        SpatialQueryStats* stats) const;
+
+  /// One R-tree traversal over the union of the members' boxes; appends
+  /// to cand[j] each entry whose envelope intersects member j's box, as
+  /// its arena index tagged with the envelope fast-path verdict. Returns
+  /// the nodes visited.
+  uint64_t ProbeIndex(const char* span_name,
+                      std::span<const BatchSelectQuery> members,
+                      std::span<std::vector<uint32_t>> cand) const;
+
+  /// Refines one member's candidates across the pool into sorted `out`;
+  /// returns the (counted) abort status when the query was stopped.
+  common::Status Refine(const Call& call, const BatchSelectQuery& member,
+                        const std::vector<uint32_t>& cand,
+                        SpatialQueryStats* stats,
+                        std::vector<uint64_t>* out) const;
 
   rdf::TripleStore store_;
   geo::RTree rtree_;  // entry ids are dense arena indices

@@ -503,10 +503,52 @@ TEST_F(GeoStoreOverloadTest, MemoryBudgetBoundsTheResultSet) {
   auto r = store_->SpatialSelect(CenterBox(),
                                  strabon::SpatialRelation::kIntersects,
                                  /*use_index=*/true, &stats);
+  // The budget bounds every refined member of a batch as well.
+  auto* budget_ctr = common::MetricsRegistry::Default().GetCounter(
+      "strabon.geostore.memory_budget_exceeded");
+  const uint64_t before = budget_ctr->value();
+  auto batch = store_->SpatialSelectBatch(
+      {{CenterBox(), strabon::SpatialRelation::kIntersects},
+       {geo::Box::Of(100, 100, 120, 120),
+        strabon::SpatialRelation::kIntersects}});
+  const uint64_t batch_aborts = budget_ctr->value() - before;
   store_->set_memory_budget_bytes(0);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
   EXPECT_GE(stats.chunks_cancelled, 1u);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_TRUE(batch.status().IsResourceExhausted()) << batch.status();
+  EXPECT_EQ(batch_aborts, 1u);
+}
+
+TEST_F(GeoStoreOverloadTest, BatchRefusedAtEntryCountsTheAbort) {
+  const std::vector<strabon::BatchSelectQuery> batch = {
+      {CenterBox(), strabon::SpatialRelation::kIntersects}};
+  auto& reg = common::MetricsRegistry::Default();
+  {
+    auto* ctr = reg.GetCounter("strabon.geostore.deadline_exceeded");
+    common::RequestContext ctx;
+    ctx.deadline = common::Deadline::FromNowUs(0);
+    common::ScopedRequestContext scope(ctx);
+    const uint64_t before = ctr->value();
+    auto r = store_->SpatialSelectBatch(batch);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status();
+    EXPECT_EQ(ctr->value() - before, 1u);
+  }
+  {
+    auto* ctr = reg.GetCounter("strabon.geostore.cancelled");
+    common::CancelSource src;
+    src.Cancel();
+    common::RequestContext ctx;
+    ctx.cancel = src.token();
+    common::ScopedRequestContext scope(ctx);
+    const uint64_t before = ctr->value();
+    auto r = store_->SpatialSelectBatch(batch);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsCancelled()) << r.status();
+    EXPECT_EQ(ctr->value() - before, 1u);
+  }
 }
 
 TEST_F(GeoStoreOverloadTest, SpatialJoinChecksTheDeadlineAtEntry) {

@@ -1,8 +1,9 @@
 // Acceptance properties of the multi-tenant serving layer (serve::):
 //
 //   * cross-request batching is invisible: a batched SpatialSelect wave
-//     returns byte-identical per-request results to unbatched mode, while
-//     executing measurably fewer R-tree traversals than requests served;
+//     returns byte-identical per-request results to unbatched mode
+//     (max_batch = 1), while executing measurably fewer R-tree traversals
+//     than requests served;
 //   * weighted fairness: a tenant flooding 10x another tenant's offered
 //     load cannot push the victim's service position past the
 //     deterministic WRR bound (W_total / w_victim) * k + W_total;
@@ -10,15 +11,15 @@
 //     stage shed (quota vs admission);
 //   * the result cache never serves stale reads: a GeoStore ingest (or a
 //     federated-epoch bump) invalidates affected entries at next lookup;
-//   * the threaded Execute() path — concurrent callers joining in-flight
-//     batch groups — agrees with ground truth (this is the suite's tsan
-//     target, hence the `concurrency` ctest label).
+//   * a tenant's deadline binds its selects whether they run batched or
+//     alone;
+//   * waves executed across the broker's worker pool agree with serial
+//     execution (the suite's tsan target).
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -28,6 +29,7 @@
 #include "serve/broker.h"
 #include "serve/loadgen.h"
 #include "strabon/geostore.h"
+#include "strabon/workload.h"
 
 namespace {
 
@@ -85,7 +87,7 @@ TEST(ServeBatching, BatchedWaveIdenticalToUnbatchedAndFewerTraversals) {
   }
   auto run = [&](bool batching, uint64_t* traversals) {
     BrokerOptions opt;
-    opt.enable_batching = batching;
+    if (!batching) opt.max_batch = 1;
     opt.cache_capacity = 0;  // isolate batching: every request executes
     QueryBroker broker(opt);
     broker.set_store(store.get());
@@ -407,52 +409,43 @@ TEST(ServeLoadGen, SameSeedSameCountersDifferentSeedDiverges) {
   EXPECT_NE(a.result_hash, c.result_hash);
 }
 
-// --- threaded Execute() path (the tsan target) ------------------------------
+// --- tenant deadlines -------------------------------------------------------
 
-TEST(ServeThreaded, ConcurrentExecuteMatchesGroundTruth) {
-  auto store = GridStore();
-  BrokerOptions opt;
-  opt.batch_window_us = 500;
-  QueryBroker broker(opt);
-  broker.set_store(store.get());
-  TenantId t = broker.RegisterTenant("t", Unlimited());
-
-  std::vector<Box> boxes;
-  for (int i = 0; i < 4; ++i) {
-    double lo = static_cast<double>(i * 2);
-    boxes.push_back(Box{lo, 0, lo + 2.5, 9});
-  }
-  std::vector<std::vector<uint64_t>> truth;
-  for (const Box& box : boxes) {
-    truth.push_back(*store->SpatialSelect(
-        box, eea::strabon::SpatialRelation::kIntersects, true));
-  }
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 16;
-  std::vector<std::thread> workers;
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<int> failures(kThreads, 0);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&, w] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const size_t q = static_cast<size_t>((w + i) % boxes.size());
-        Response r =
-            broker.Execute(t, Request::SpatialSelect(boxes[q]));
-        if (!r.status.ok()) {
-          ++failures[w];
-        } else if (r.ids != truth[q]) {
-          ++mismatches[w];
-        }
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  for (int w = 0; w < kThreads; ++w) {
-    EXPECT_EQ(failures[w], 0) << "thread " << w;
-    EXPECT_EQ(mismatches[w], 0) << "thread " << w;
+TEST(ServeDeadline, TenantDeadlineBindsBatchedAndUnbatchedSelects) {
+  // 40k points: refinement reads the clock only every 64 candidates, so
+  // the store must be large enough that a 1 us deadline surely fires.
+  eea::strabon::GeoWorkloadOptions wopt;
+  wopt.num_features = 40000;
+  wopt.world_size = 1000.0;
+  wopt.with_thematic = false;
+  const eea::strabon::GeoStore store = eea::strabon::MakeGeoWorkload(wopt);
+  const Box everything{-1.0, -1.0, 1001.0, 1001.0};
+  const auto scan = store.SpatialSelect(
+      everything, eea::strabon::SpatialRelation::kIntersects,
+      /*use_index=*/false);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->size(), 40000u);
+  for (size_t max_batch : {size_t{64}, size_t{1}}) {
+    BrokerOptions opt;
+    opt.max_batch = max_batch;
+    opt.cache_capacity = 0;
+    QueryBroker broker(opt);
+    broker.set_store(&store);
+    TenantOptions hurried = Unlimited();
+    hurried.deadline_us = 1;
+    const TenantId h = broker.RegisterTenant("hurried", hurried);
+    const TenantId p = broker.RegisterTenant("patient", Unlimited());
+    const Request select = Request::SpatialSelect(everything);
+    auto cut = broker.ExecuteWave({{h, select}}, 1000);
+    EXPECT_TRUE(cut[0].status.IsDeadlineExceeded())
+        << "max_batch=" << max_batch << ": " << cut[0].status.ToString();
+    auto full = broker.ExecuteWave({{p, select}}, 2000);
+    ASSERT_TRUE(full[0].status.ok()) << full[0].status.ToString();
+    EXPECT_EQ(full[0].ids, *scan) << "max_batch=" << max_batch;
   }
 }
+
+// --- parallel wave execution (the tsan target) ------------------------------
 
 TEST(ServeThreaded, ParallelWaveUnitsMatchSerial) {
   auto store = GridStore();

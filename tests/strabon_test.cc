@@ -114,6 +114,46 @@ TEST(GeoStoreTest, WithinAndContainsRelations) {
   EXPECT_EQ(store.triples().dict().Decode(contains[0]).value, "http://x/big");
 }
 
+TEST(GeoStoreTest, SelectAndOneMemberBatchAgreeOnIdsAndWork) {
+  GeoWorkloadOptions opt;
+  opt.num_features = 2000;
+  opt.kind = GeoWorkloadOptions::GeometryKind::kMultiPolygon;
+  opt.vertices_per_ring = 12;
+  opt.world_size = 1000.0;
+  opt.feature_size = 60.0;
+  opt.with_thematic = false;
+  opt.seed = 23;
+  GeoStore store = MakeGeoWorkload(opt);
+  common::Rng rng(31);
+  std::vector<geo::Box> boxes;
+  for (double selectivity : {0.0001, 0.001, 0.01, 0.1}) {
+    for (int i = 0; i < 3; ++i) {
+      boxes.push_back(RandomSelectionBox(opt.world_size, selectivity, &rng));
+    }
+  }
+  for (SpatialRelation rel : {SpatialRelation::kIntersects,
+                              SpatialRelation::kContains,
+                              SpatialRelation::kWithin}) {
+    size_t matched = 0;
+    for (const geo::Box& box : boxes) {
+      SpatialQueryStats single, batch;
+      auto indexed = store.SpatialSelect(box, rel, true, &single);
+      auto batched = store.SpatialSelectBatch({{box, rel}}, &batch);
+      auto scanned = store.SpatialSelect(box, rel, false);
+      ASSERT_TRUE(indexed.ok() && batched.ok() && scanned.ok());
+      EXPECT_EQ(*indexed, (*batched)[0]);
+      EXPECT_EQ(*indexed, *scanned);
+      EXPECT_EQ(single.nodes_visited, batch.nodes_visited);
+      EXPECT_EQ(single.candidates, batch.candidates);
+      EXPECT_EQ(single.geometry_tests, batch.geometry_tests);
+      EXPECT_EQ(single.envelope_hits, batch.envelope_hits);
+      EXPECT_EQ(single.results, batch.results);
+      matched += indexed->size();
+    }
+    EXPECT_GT(matched, 0u) << "relation " << static_cast<int>(rel);
+  }
+}
+
 TEST(GeoStoreTest, QueryWithSpatialFilterBothPathsAgree) {
   GeoWorkloadOptions opt;
   opt.num_features = 2000;

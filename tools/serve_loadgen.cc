@@ -73,7 +73,7 @@ void Usage(const char* argv0) {
       "  --features=N        GeoStore features (default 20000)\n"
       "  --threads=N         broker worker threads (default 1)\n"
       "  --cache=N           result-cache capacity (default 4096; 0 off)\n"
-      "  --no-batching       disable cross-request batching\n"
+      "  --no-batching       one traversal per select (max_batch = 1)\n"
       "  --admin_port=N      serve admin endpoints (/metrics /healthz\n"
       "                      /tenantz ...) on 127.0.0.1:N (0 = ephemeral;\n"
       "                      enables the trace recorder, slow-query log,\n"
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   eea::strabon::GeoStore store = eea::strabon::MakeGeoWorkload(wopt);
 
   eea::serve::BrokerOptions bopt;
-  bopt.enable_batching = cli.batching;
+  if (!cli.batching) bopt.max_batch = 1;  // the unbatched ablation
   bopt.cache_capacity = cli.cache_capacity;
   bopt.num_threads = cli.threads;
   eea::serve::QueryBroker broker(bopt);
