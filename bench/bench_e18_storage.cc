@@ -6,10 +6,11 @@
 //     and queried; cold drops the pool first (every page is a storage
 //     read), warm reuses it (pool hits). The gap is the page cache's
 //     contribution.
-//   * recovery time: a WAL-backed KvStore is populated, a crash is
-//     injected mid-commit at the storage.wal.fsync fault point, and the
-//     row measures reopening the store — superblock + checkpoint load +
-//     WAL replay — until the namespace is queryable again.
+//   * recovery time: the durable KV store (a zero-follower
+//     repl::ReplicatedKvStore) is populated, a crash is injected
+//     mid-commit at the storage.wal.fsync fault point, and the row
+//     measures reopening the store — superblock + checkpoint load + WAL
+//     replay — until the namespace is queryable again.
 //   * result hash: deterministic fingerprint across the whole layer
 //     (in-memory vs on-disk index results must match, recovered KV rows
 //     hashed in), exported as gauge bench.e18.result_hash for the CI
@@ -22,6 +23,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,10 +35,9 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "kv/kvstore.h"
+#include "repl/replicated_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
-#include "storage/wal.h"
 #include "strabon/geostore.h"
 #include "strabon/workload.h"
 
@@ -47,14 +48,13 @@ using exearth::common::StrFormat;
 using exearth::storage::BufferPool;
 using exearth::storage::DiskStorageManager;
 using exearth::storage::PageId;
-using exearth::storage::Wal;
 using exearth::strabon::GeoStore;
 using exearth::strabon::GeoWorkloadOptions;
 using exearth::strabon::RandomSelectionBox;
 using exearth::strabon::SpatialRelation;
 
-// Scratch directory for one benchmark row's storage + wal files,
-// removed on destruction.
+// Scratch directory for one benchmark row's files, recursively removed
+// on destruction.
 struct TempStorageDir {
   explicit TempStorageDir(const char* tag) {
     char tmpl[] = "/tmp/eea_e18_XXXXXX";
@@ -63,15 +63,25 @@ struct TempStorageDir {
     path = dir;
   }
   ~TempStorageDir() {
-    for (const char* f : {"/pages", "/wal", "/wal.tmp"}) {
-      ::unlink((path + f).c_str());
-    }
-    ::rmdir(path.c_str());
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
   }
   std::string Pages() const { return path + "/pages"; }
-  std::string WalPath() const { return path + "/wal"; }
   std::string path;
 };
+
+// The durable KV store over `dir`: one shard, zero followers.
+std::unique_ptr<exearth::repl::ReplicatedKvStore> OpenKv(
+    const TempStorageDir& dir) {
+  exearth::repl::ReplOptions opt;
+  opt.followers_per_shard = 0;
+  opt.write_quorum = 0;
+  opt.kv_partitions = 8;
+  opt.data_dir = dir.path;
+  auto store = exearth::repl::ReplicatedKvStore::Open(opt);
+  EEA_CHECK_OK(store.status());
+  return std::move(store).value();
+}
 
 // --page_cache_mb (default 4 MiB) as a frame count.
 size_t PoolCapacityPages() {
@@ -149,17 +159,13 @@ void BM_E18IndexedSelect(benchmark::State& state) {
 // Writes `txns` single-row transactions into a durable store, then
 // injects a crash (storage.wal.fsync) into one extra commit.
 void PopulateAndCrash(const TempStorageDir& dir, int txns) {
-  auto storage = std::move(DiskStorageManager::Open(dir.Pages()).value());
-  auto wal = std::move(Wal::Open(dir.WalPath()).value());
-  BufferPool pool(storage.get(), PoolCapacityPages());
-  exearth::kv::KvStore store(8);
-  EEA_CHECK_OK(store.AttachDurability(&pool, wal.get()));
+  auto store = OpenKv(dir);
   for (int i = 0; i < txns; ++i) {
-    EEA_CHECK_OK(store.Put(StrFormat("row%06d", i),
-                           StrFormat("value-%d-%d", i, i * 7)));
+    EEA_CHECK_OK(store->Put(StrFormat("row%06d", i),
+                            StrFormat("value-%d-%d", i, i * 7)));
     // Checkpoint halfway so recovery exercises both the checkpoint-image
     // load and the WAL replay of the second half.
-    if (i == txns / 2) EEA_CHECK_OK(store.Checkpoint());
+    if (i == txns / 2) EEA_CHECK_OK(store->Checkpoint());
   }
   auto& injector = exearth::common::FaultInjector::Default();
   injector.Reset();
@@ -168,7 +174,7 @@ void PopulateAndCrash(const TempStorageDir& dir, int txns) {
   rule.code = exearth::common::StatusCode::kUnavailable;
   injector.Program("storage.wal.fsync", rule);
   // This commit's fsync is killed: unacknowledged, must not survive.
-  EEA_CHECK(!store.Put("crashed-row", "must-not-survive").ok());
+  EEA_CHECK(!store->Put("crashed-row", "must-not-survive").ok());
   injector.Reset();
 }
 
@@ -182,16 +188,12 @@ void BM_E18Recovery(benchmark::State& state) {
   for (auto _ : state) {
     // Measured: full reopen — superblock validation, checkpoint-image
     // load, WAL torn-tail scan and replay to the last committed txn.
-    auto storage = std::move(DiskStorageManager::Open(dir.Pages()).value());
-    auto wal = std::move(Wal::Open(dir.WalPath()).value());
-    BufferPool pool(storage.get(), PoolCapacityPages());
-    exearth::kv::KvStore store(8);
-    EEA_CHECK_OK(store.AttachDurability(&pool, wal.get()));
-    benchmark::DoNotOptimize(store.Size());
-    const auto dstats = store.durability_stats();
-    recovered_txns = dstats.recovered_txns;
-    recovered_rows = dstats.recovered_rows;
-    keys = store.Size();
+    auto store = OpenKv(dir);
+    benchmark::DoNotOptimize(store->Size());
+    const auto replica = store->StatusSnapshot()[0].replicas[0];
+    recovered_txns = replica.recovered_txns;
+    recovered_rows = replica.recovered_rows;
+    keys = store->Size();
     EEA_CHECK(keys == static_cast<size_t>(txns))
         << "expected " << txns << " recovered rows, got " << keys;
   }
@@ -249,17 +251,9 @@ void BM_E18ResultHash(benchmark::State& state) {
 
     TempStorageDir kv_dir("hash_kv");
     PopulateAndCrash(kv_dir, 200);
-    {
-      auto kv_storage =
-          std::move(DiskStorageManager::Open(kv_dir.Pages()).value());
-      auto wal = std::move(Wal::Open(kv_dir.WalPath()).value());
-      BufferPool kv_pool(kv_storage.get(), 64);
-      exearth::kv::KvStore kv(8);
-      EEA_CHECK_OK(kv.AttachDurability(&kv_pool, wal.get()));
-      for (const auto& [key, value] : kv.ScanPrefix("")) {
-        mix(exearth::common::Fnv1a(key));
-        mix(exearth::common::Fnv1a(value));
-      }
+    for (const auto& [key, value] : OpenKv(kv_dir)->ScanPrefix("")) {
+      mix(exearth::common::Fnv1a(key));
+      mix(exearth::common::Fnv1a(value));
     }
     benchmark::DoNotOptimize(hash);
   }

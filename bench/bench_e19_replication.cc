@@ -6,9 +6,10 @@
 //     the paper's ops/s-vs-namenodes curve, with per-shard commit
 //     serialization standing in for the NDB datanode groups. items/s is
 //     acknowledged creates per second (each durable on a write quorum).
-//   * single-store baseline: the same workload on the embedded durable
-//     single kv::KvStore (PR 9's stack, no replication) — the
-//     single-namenode bar the scaling rows are read against.
+//   * single-store baseline: the same workload on the single durable
+//     store, a shard with zero followers (one WAL, no shipping, no
+//     quorum) — the single-namenode bar the scaling rows are read
+//     against.
 //   * failover drill: a seeded repl.leader.crash kills a leader
 //     mid-commit; the row measures the blackout window (the refused
 //     commit + election until the next acked commit lands) and then
@@ -36,11 +37,7 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "dfs/hopsfs.h"
-#include "kv/kvstore.h"
 #include "repl/replicated_store.h"
-#include "storage/buffer_pool.h"
-#include "storage/storage_manager.h"
-#include "storage/wal.h"
 
 namespace {
 
@@ -51,8 +48,8 @@ using exearth::common::StrFormat;
 using exearth::repl::ReplicatedKvStore;
 using exearth::repl::ReplOptions;
 
-// Scratch directory for one row's per-replica WAL files (or the
-// baseline's pages+wal pair), recursively removed on destruction.
+// Scratch directory for one row's per-replica files, recursively removed
+// on destruction.
 struct TempReplDir {
   TempReplDir() {
     char tmpl[] = "/tmp/eea_e19_XXXXXX";
@@ -121,18 +118,21 @@ void BM_E19ShardScaling(benchmark::State& state) {
   state.counters["txn_retries"] = static_cast<double>(cluster.txn_retries());
 }
 
-// The single-namenode bar: the same create workload against the durable
-// embedded store (one WAL, no shipping, no quorum).
+// The single-namenode bar: the same create workload against the single
+// durable store (one shard, zero followers: one WAL, no shipping, no
+// quorum). Its commits serialize on the shard mutex.
 void BM_E19SingleStoreBaseline(benchmark::State& state) {
   TempReplDir dir;
-  auto disk =
-      exearth::storage::DiskStorageManager::Open(dir.path + "/pages");
-  EEA_CHECK_OK(disk.status());
-  exearth::storage::BufferPool pool(disk.value().get(), 64);
-  auto wal = exearth::storage::Wal::Open(dir.path + "/wal");
-  EEA_CHECK_OK(wal.status());
+  ReplOptions opt;
+  opt.followers_per_shard = 0;
+  opt.write_quorum = 0;
+  opt.kv_partitions = exearth::dfs::HopsFsCluster::Options{}.kv_partitions;
+  opt.data_dir = dir.path;
+  auto opened = ReplicatedKvStore::Open(opt);
+  EEA_CHECK_OK(opened.status());
+  std::unique_ptr<ReplicatedKvStore> store = std::move(opened).value();
   exearth::dfs::HopsFsCluster cluster(exearth::dfs::HopsFsCluster::Options{},
-                                      &pool, wal.value().get());
+                                      store.get(), 1);
   uint64_t batch = 0;
   for (auto _ : state) {
     RunCreateBatch(&cluster, batch++);

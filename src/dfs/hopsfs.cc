@@ -249,33 +249,13 @@ HopsFsCluster::HopsFsCluster(const Options& options)
   InitIdAllocator(1);
 }
 
-HopsFsCluster::HopsFsCluster(const Options& options,
-                             storage::BufferPool* pool, storage::Wal* wal)
-    : options_(options),
-      owned_store_(std::make_unique<kv::KvStore>(options.kv_partitions)),
-      owned_adapter_(std::make_unique<kv::KvMetaStore>(owned_store_.get())) {
-  meta_ = owned_adapter_.get();
-  EEA_CHECK_OK(owned_store_->AttachDurability(pool, wal));
-  // Create the root inode only on a fresh namespace; a recovered one
-  // already has it (and rewriting it would WAL a redundant commit).
-  if (!meta_->Get(InodeKey(0, "")).ok()) {
-    EEA_CHECK_OK(meta_->Put(InodeKey(0, ""), EncodeInode(InodeRow{
-                                                 .id = 1,
-                                                 .is_directory = true,
-                                             })));
-  }
-  // Resume the inode-id allocator past every recovered inode so new ids
-  // never collide with rows replayed from the checkpoint + WAL.
-  InitIdAllocator(1);
-}
-
 HopsFsCluster::HopsFsCluster(const Options& options, kv::MetaStore* store,
                              int id_shards)
     : options_(options), meta_(store) {
   EEA_CHECK(id_shards >= 1) << "id_shards must be >= 1";
-  // A replicated store may arrive freshly created or recovered from its
-  // replicas' WALs; create the root only when absent, like the durable
-  // constructor.
+  // The store may arrive freshly created or recovered from its replicas'
+  // checkpoint images and WALs: create the root only on a fresh namespace
+  // (rewriting it would log a redundant commit).
   if (!meta_->Get(InodeKey(0, "")).ok()) {
     EEA_CHECK_OK(meta_->Put(InodeKey(0, ""), EncodeInode(InodeRow{
                                                  .id = 1,

@@ -30,9 +30,10 @@ namespace exearth::dfs {
 
 /// Shared metadata state: the metadata store plus the inode-id
 /// allocator. One instance per cluster; create any number of NameNode
-/// front-ends on it. The store is any kv::MetaStore — the embedded
-/// single kv::KvStore (default and durable constructors) or an external
-/// sharded/replicated store (repl::ReplicatedKvStore).
+/// front-ends on it. The store is any kv::MetaStore: an embedded
+/// in-memory kv::KvStore (the Options-only constructor) or an external
+/// store such as repl::ReplicatedKvStore, which is also the durable one
+/// (a single durable store is a shard with zero followers).
 class HopsFsCluster {
  public:
   struct Options {
@@ -55,22 +56,14 @@ class HopsFsCluster {
 
   explicit HopsFsCluster(const Options& options);
 
-  /// Durable cluster: attaches the metadata store to `pool` + `wal`
-  /// (recovering any previous namespace, see kv::KvStore::AttachDurability)
-  /// before creating the root inode. The inode-id allocator resumes past
-  /// the highest recovered id, so ids never collide across restarts.
-  /// `pool` and `wal` must outlive the cluster.
-  HopsFsCluster(const Options& options, storage::BufferPool* pool,
-                storage::Wal* wal);
-
   /// Cluster over an external metadata store (not owned; must outlive
   /// the cluster) — e.g. a repl::ReplicatedKvStore. The root inode is
   /// created only on a fresh namespace, and the inode-id allocator
-  /// resumes past every recovered id, so a recovered replicated store
-  /// works transparently. `id_shards` partitions the inode-id space
-  /// into disjoint ranges allocated round-robin (pass the store's shard
-  /// count so id allocation scales with the shards; 1 keeps the classic
-  /// sequential 2, 3, 4, ... numbering).
+  /// resumes past every recovered id, so ids never collide across
+  /// restarts of a durable store. `id_shards` partitions the inode-id
+  /// space into disjoint ranges allocated round-robin (pass the store's
+  /// shard count so id allocation scales with the shards; 1 keeps the
+  /// classic sequential 2, 3, 4, ... numbering).
   HopsFsCluster(const Options& options, kv::MetaStore* store,
                 int id_shards = 1);
 
@@ -109,7 +102,7 @@ class HopsFsCluster {
   void InitIdAllocator(int id_shards);
 
   Options options_;
-  // Owned backing store for the embedded constructors; null when the
+  // Owned backing store for the embedded constructor; null when the
   // cluster runs over an external MetaStore.
   std::unique_ptr<kv::KvStore> owned_store_;
   std::unique_ptr<kv::KvMetaStore> owned_adapter_;

@@ -1,45 +1,14 @@
 #include "kv/kvstore.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "storage/buffer_pool.h"
-#include "storage/page_chain.h"
-#include "storage/wal.h"
 
 namespace exearth::kv {
 
 using common::Result;
 using common::Status;
-
-namespace {
-
-// Superblock meta slot contents naming the live checkpoint. Pinned by the
-// golden-format test.
-constexpr char kMetaPrefix[] = "kvckpt1";
-
-std::string EncodeCheckpointMeta(storage::PageId head, uint64_t lsn) {
-  return common::StrFormat("%s %u %llu", kMetaPrefix, head,
-                           static_cast<unsigned long long>(lsn));
-}
-
-Status DecodeCheckpointMeta(const std::string& meta, storage::PageId* head,
-                            uint64_t* lsn) {
-  unsigned int h = 0;
-  unsigned long long l = 0;
-  char tag[16] = {0};
-  if (std::sscanf(meta.c_str(), "%15s %u %llu", tag, &h, &l) != 3 ||
-      std::string(tag) != kMetaPrefix) {
-    return Status::IOError("unrecognized checkpoint metadata: " + meta);
-  }
-  *head = static_cast<storage::PageId>(h);
-  *lsn = l;
-  return Status::OK();
-}
-
-}  // namespace
 
 // --- Transaction -----------------------------------------------------------
 
@@ -136,39 +105,11 @@ Status Transaction::Delete(const std::string& key) {
 Status Transaction::Commit() {
   EEA_CHECK(!finished_) << "Commit on finished transaction";
   const int partitions = PartitionsTouched();
-  // When durable, hold the commit lock (shared) across both the WAL
-  // write and the in-memory apply below, so a checkpoint (exclusive)
-  // never cuts between a transaction's fsynced marker and its rows.
-  std::shared_lock<std::shared_mutex> commit_guard;
-  if (store_->durable()) {
-    commit_guard = std::shared_lock<std::shared_mutex>(store_->commit_mu_);
-    if (!writes_.empty()) {
-      // WAL-before-apply: the commit is acknowledged only once its
-      // marker is fsynced. On failure the transaction aborts — locks
-      // released, nothing applied, so the interrupted commit is
-      // invisible both here and after recovery.
-      Status s = store_->CommitDurable(id_, writes_);
-      if (!s.ok()) {
-        commit_guard.unlock();
-        store_->aborts_.fetch_add(1, std::memory_order_relaxed);
-        Abort();
-        return s;
-      }
-    }
-  }
   // Apply writes partition by partition. Because every written row is
   // exclusively locked by this transaction, applying without a global lock
   // is atomic with respect to other transactions (they cannot observe or
   // touch these rows until the locks are released below).
-  for (const auto& [key, value] : writes_) {
-    KvStore::Partition& part = store_->PartitionFor(key);
-    std::lock_guard<std::mutex> guard(part.mu);
-    if (value.has_value()) {
-      part.rows[key] = *value;
-    } else {
-      part.rows.erase(key);
-    }
-  }
+  for (const auto& [key, value] : writes_) store_->ApplyCommitted(key, value);
   // Release locks.
   for (const std::string& key : locked_) {
     KvStore::Partition& part = store_->PartitionFor(key);
@@ -256,6 +197,17 @@ std::vector<std::pair<std::string, std::string>> KvStore::ScanPrefix(
   return out;
 }
 
+void KvStore::ApplyCommitted(const std::string& key,
+                             std::optional<std::string> value) {
+  Partition& part = PartitionFor(key);
+  std::lock_guard<std::mutex> guard(part.mu);
+  if (value.has_value()) {
+    part.rows[key] = std::move(*value);
+  } else {
+    part.rows.erase(key);
+  }
+}
+
 size_t KvStore::Size() const {
   size_t n = 0;
   for (const auto& part : partitions_) {
@@ -263,178 +215,6 @@ size_t KvStore::Size() const {
     n += part->rows.size();
   }
   return n;
-}
-
-// --- Durability --------------------------------------------------------------
-
-Status KvStore::CommitDurable(
-    uint64_t txn_id,
-    const std::unordered_map<std::string, std::optional<std::string>>&
-        writes) {
-  // Sort by key so the WAL byte stream is a pure function of the
-  // transaction's contents — the chaos tests byte-compare recovery state
-  // across seeded runs.
-  std::vector<const std::pair<const std::string, std::optional<std::string>>*>
-      sorted;
-  sorted.reserve(writes.size());
-  for (const auto& kv : writes) sorted.push_back(&kv);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* kv : sorted) {
-    const auto type = kv->second.has_value() ? storage::WalRecordType::kPut
-                                             : storage::WalRecordType::kDelete;
-    EEA_RETURN_NOT_OK(
-        wal_->Append(type, txn_id, kv->first,
-                     kv->second.has_value() ? *kv->second : std::string())
-            .status());
-  }
-  EEA_RETURN_NOT_OK(
-      wal_->Append(storage::WalRecordType::kCommit, txn_id, "", "").status());
-  EEA_RETURN_NOT_OK(wal_->Sync());
-  wal_commits_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status KvStore::AttachDurability(storage::BufferPool* pool,
-                                 storage::Wal* wal) {
-  EEA_CHECK(pool != nullptr && wal != nullptr);
-  EEA_CHECK(wal_ == nullptr) << "durability already attached";
-  std::unique_lock<std::shared_mutex> guard(commit_mu_);
-  pool_ = pool;
-
-  // 1. Load the last checkpoint image (if any) named by the meta slot.
-  uint64_t ckpt_lsn = 0;
-  EEA_ASSIGN_OR_RETURN(std::string meta, pool->storage()->ReadMeta());
-  if (!meta.empty()) {
-    storage::PageId head = storage::kInvalidPageId;
-    EEA_RETURN_NOT_OK(DecodeCheckpointMeta(meta, &head, &ckpt_lsn));
-    storage::PageChainReader reader(pool, head);
-    EEA_ASSIGN_OR_RETURN(uint64_t row_count, reader.ReadU64());
-    for (uint64_t i = 0; i < row_count; ++i) {
-      EEA_ASSIGN_OR_RETURN(std::string key, reader.ReadString());
-      EEA_ASSIGN_OR_RETURN(std::string value, reader.ReadString());
-      Partition& part = PartitionFor(key);
-      std::lock_guard<std::mutex> plock(part.mu);
-      part.rows[key] = std::move(value);
-    }
-    recovered_rows_.store(row_count, std::memory_order_relaxed);
-    last_checkpoint_lsn_.store(ckpt_lsn, std::memory_order_relaxed);
-  }
-
-  // 2. Replay the WAL: only transactions whose commit marker survived
-  // become visible. The meta checkpoint LSN is the authoritative floor —
-  // a crash after the meta flip but before the WAL truncation leaves old
-  // records in the log, and replaying them must be skipped (they are
-  // already inside the checkpoint image). Replay is idempotent anyway
-  // (pure redo of full-row images), so the floor is an optimization and
-  // a determinism guarantee, not a correctness requirement.
-  std::unordered_map<uint64_t,
-                     std::vector<std::pair<std::string,
-                                           std::optional<std::string>>>>
-      pending;
-  uint64_t replayed_txns = 0;
-  EEA_RETURN_NOT_OK(wal->Replay([&](const storage::WalRecord& rec) {
-    if (rec.lsn <= ckpt_lsn) return Status::OK();
-    switch (rec.type) {
-      case storage::WalRecordType::kPut:
-        pending[rec.txn_id].emplace_back(rec.key, rec.value);
-        break;
-      case storage::WalRecordType::kDelete:
-        pending[rec.txn_id].emplace_back(rec.key, std::nullopt);
-        break;
-      case storage::WalRecordType::kCommit: {
-        auto it = pending.find(rec.txn_id);
-        if (it != pending.end()) {
-          for (auto& [key, value] : it->second) {
-            Partition& part = PartitionFor(key);
-            std::lock_guard<std::mutex> plock(part.mu);
-            if (value.has_value()) {
-              part.rows[key] = std::move(*value);
-            } else {
-              part.rows.erase(key);
-            }
-          }
-          pending.erase(it);
-          ++replayed_txns;
-        }
-        break;
-      }
-      case storage::WalRecordType::kCheckpoint:
-        break;  // filtered out by Wal::Replay already
-    }
-    return Status::OK();
-  }));
-  // Records in `pending` belong to transactions without a commit marker
-  // (the crash hit mid-commit): dropped, exactly as if never written.
-  recovered_txns_.store(replayed_txns, std::memory_order_relaxed);
-  wal_ = wal;  // last: commits turn durable only once recovery finished
-  return Status::OK();
-}
-
-Status KvStore::Checkpoint() {
-  EEA_CHECK(wal_ != nullptr) << "Checkpoint without AttachDurability";
-  // Exclusive: no commit is between its WAL marker and its in-memory
-  // apply while we cut, so the image + LSN floor form a consistent pair.
-  std::unique_lock<std::shared_mutex> guard(commit_mu_);
-  const uint64_t ckpt_lsn = wal_->next_lsn() - 1;
-
-  // Remember the previous image so its pages can be freed after the flip.
-  storage::PageId old_head = storage::kInvalidPageId;
-  uint64_t old_lsn = 0;
-  EEA_ASSIGN_OR_RETURN(std::string old_meta, pool_->storage()->ReadMeta());
-  if (!old_meta.empty()) {
-    EEA_RETURN_NOT_OK(DecodeCheckpointMeta(old_meta, &old_head, &old_lsn));
-  }
-
-  // Serialize every row, globally key-sorted for a deterministic image.
-  std::vector<std::pair<std::string, std::string>> rows;
-  for (const auto& part : partitions_) {
-    std::lock_guard<std::mutex> plock(part->mu);
-    for (const auto& kv : part->rows) rows.push_back(kv);
-  }
-  std::sort(rows.begin(), rows.end());
-  storage::PageChainWriter writer(pool_, ckpt_lsn);
-  EEA_RETURN_NOT_OK(writer.WriteU64(rows.size()));
-  for (const auto& [key, value] : rows) {
-    EEA_RETURN_NOT_OK(writer.WriteString(key));
-    EEA_RETURN_NOT_OK(writer.WriteString(value));
-  }
-  EEA_ASSIGN_OR_RETURN(storage::PageId head, writer.Finish());
-  if (head == storage::kInvalidPageId) {
-    // Empty store: write a chain holding just the zero row count so the
-    // meta slot always names a readable image.
-    storage::PageChainWriter empty_writer(pool_, ckpt_lsn);
-    EEA_RETURN_NOT_OK(empty_writer.WriteU64(0));
-    EEA_ASSIGN_OR_RETURN(head, empty_writer.Finish());
-  }
-
-  // Durability order: pages -> fsync -> meta flip (the atomic commit
-  // point) -> free old image -> truncate WAL. A crash anywhere in this
-  // sequence recovers: before the flip the old image + full WAL win;
-  // after it the new image wins and stale WAL records sit at or below
-  // the LSN floor.
-  EEA_RETURN_NOT_OK(pool_->FlushAll());
-  EEA_RETURN_NOT_OK(pool_->storage()->Sync());
-  EEA_RETURN_NOT_OK(
-      pool_->storage()->WriteMeta(EncodeCheckpointMeta(head, ckpt_lsn)));
-  if (old_head != storage::kInvalidPageId) {
-    EEA_RETURN_NOT_OK(storage::FreeChain(pool_, old_head));
-  }
-  EEA_RETURN_NOT_OK(wal_->Checkpoint(ckpt_lsn));
-  checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  last_checkpoint_lsn_.store(ckpt_lsn, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-DurabilityStats KvStore::durability_stats() const {
-  DurabilityStats s;
-  s.wal_commits = wal_commits_.load(std::memory_order_relaxed);
-  s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
-  s.last_checkpoint_lsn =
-      last_checkpoint_lsn_.load(std::memory_order_relaxed);
-  s.recovered_txns = recovered_txns_.load(std::memory_order_relaxed);
-  s.recovered_rows = recovered_rows_.load(std::memory_order_relaxed);
-  return s;
 }
 
 StoreStats KvStore::stats() const {

@@ -9,6 +9,12 @@
 //  * multi-partition commits run a two-phase commit whose extra round is
 //    observable in the statistics (E3's factorial sweep).
 //
+// KvStore is purely in memory. Durability lives one layer up, in
+// repl::ReplicatedKvStore: each replica of a shard owns a KvStore as the
+// state machine its log applies to (ApplyCommitted), plus a WAL and a
+// checkpoint image. The single durable store is a shard with zero
+// followers.
+//
 // Thread safety: the store may be used from many threads concurrently; each
 // Transaction object must be used by one thread at a time.
 
@@ -21,7 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,11 +36,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "kv/meta_store.h"
-
-namespace exearth::storage {
-class BufferPool;
-class Wal;
-}  // namespace exearth::storage
 
 namespace exearth::kv {
 
@@ -47,15 +47,6 @@ struct StoreStats {
   uint64_t multi_partition_commits = 0;  // required 2PC
   uint64_t gets = 0;
   uint64_t puts = 0;
-};
-
-/// Durability-layer statistics (valid after AttachDurability).
-struct DurabilityStats {
-  uint64_t wal_commits = 0;        // transactions made durable via the WAL
-  uint64_t checkpoints = 0;
-  uint64_t last_checkpoint_lsn = 0;
-  uint64_t recovered_txns = 0;     // committed txns replayed at attach
-  uint64_t recovered_rows = 0;     // rows loaded from the checkpoint image
 };
 
 class KvStore;
@@ -147,32 +138,13 @@ class KvStore {
 
   StoreStats stats() const;
 
-  // --- Durability (ROADMAP item 1) -------------------------------------------
-  //
-  // AttachDurability binds the store to a buffer pool + WAL and runs
-  // recovery: the last checkpoint image (page chain named by the
-  // superblock meta slot) is loaded, then the WAL is replayed — only
-  // transactions whose commit record survived become visible, so a
-  // crash-interrupted commit vanishes atomically. Afterwards every
-  // Commit() follows WAL-before-apply: records + commit marker appended
-  // and fsynced (group commit) before the in-memory apply; a commit is
-  // acknowledged (returns OK) only once its marker is on disk.
-  //
-  // Attach before sharing the store across threads; pool and wal must
-  // outlive the store.
-
-  /// Recovers state from `pool`'s storage + `wal`, then makes all
-  /// subsequent commits durable.
-  common::Status AttachDurability(storage::BufferPool* pool,
-                                  storage::Wal* wal);
-
-  /// Serializes a consistent snapshot of all rows into a fresh page
-  /// chain, flips the superblock meta to it, frees the previous chain and
-  /// truncates the WAL. Blocks commits for the duration (exclusive lock).
-  common::Status Checkpoint();
-
-  bool durable() const { return wal_ != nullptr; }
-  DurabilityStats durability_stats() const;
+  /// Writes one committed row (nullopt erases it). Takes no transaction
+  /// and no row lock: the caller orders the writes. Transaction::Commit
+  /// applies its buffered writes through it, and so does the replicated
+  /// log on every replica (commit, follower apply, promotion, WAL replay
+  /// and checkpoint-image load).
+  void ApplyCommitted(const std::string& key,
+                      std::optional<std::string> value);
 
  private:
   friend class Transaction;
@@ -187,28 +159,9 @@ class KvStore {
     return *partitions_[static_cast<size_t>(PartitionOf(key))];
   }
 
-  // WAL-before-apply for one transaction's buffered writes; called by
-  // Transaction::Commit under the row locks. Returns without applying on
-  // a WAL failure (the commit is then not acknowledged).
-  common::Status CommitDurable(
-      uint64_t txn_id,
-      const std::unordered_map<std::string, std::optional<std::string>>&
-          writes);
-
   std::vector<std::unique_ptr<Partition>> partitions_;
   std::atomic<uint64_t> next_txn_id_{1};
 
-  // Durability (null until AttachDurability). commit_mu_ lets commits
-  // proceed concurrently (shared) while Checkpoint() gets a consistent
-  // cut (exclusive).
-  storage::BufferPool* pool_ = nullptr;
-  storage::Wal* wal_ = nullptr;
-  mutable std::shared_mutex commit_mu_;
-  std::atomic<uint64_t> wal_commits_{0};
-  std::atomic<uint64_t> checkpoints_{0};
-  std::atomic<uint64_t> last_checkpoint_lsn_{0};
-  std::atomic<uint64_t> recovered_txns_{0};
-  std::atomic<uint64_t> recovered_rows_{0};
   // Stats counters (relaxed; read via stats()).
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> aborts_{0};

@@ -7,9 +7,12 @@
 // transaction, auto-commit Put/Get/Delete, ScanPrefix and Size.
 //
 // Implementations:
-//  * kv::KvMetaStore (kvstore.h) — thin adapter over a single KvStore;
+//  * kv::KvMetaStore (kvstore.h) — thin adapter over a single in-memory
+//    KvStore;
 //  * repl::ReplicatedKvStore (src/repl/) — consistent-hash sharded,
-//    leader/follower replicated store with quorum-acked commits.
+//    leader/follower replicated store with quorum-acked commits; the
+//    only durable implementation (one shard with zero followers is the
+//    single durable store).
 //
 // Contract notes carried over from KvStore: transactions are strict 2PL
 // with a no-wait policy (lock conflicts return Status::Aborted — callers

@@ -1,17 +1,22 @@
 #include "repl/replicated_store.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_chain.h"
+#include "storage/storage_manager.h"
 #include "storage/wal.h"
 
 namespace exearth::repl {
@@ -29,6 +34,43 @@ namespace {
 // Last-write-wins per key, key-sorted so the WAL order (and therefore
 // every replica's log) is deterministic.
 using WriteSet = std::map<std::string, std::optional<std::string>>;
+
+// Frames in each replica's page cache. Checkpoint images are written and
+// read front to back, so the size changes no byte on disk.
+constexpr size_t kImagePoolPages = 64;
+
+// Meta slot contents naming the live checkpoint image. Pinned by the
+// golden-format test.
+constexpr char kMetaPrefix[] = "kvckpt1";
+
+std::string EncodeCheckpointMeta(storage::PageId head, uint64_t lsn) {
+  return StrFormat("%s %u %llu", kMetaPrefix, head,
+                   static_cast<unsigned long long>(lsn));
+}
+
+Status DecodeCheckpointMeta(const std::string& meta, storage::PageId* head,
+                            uint64_t* lsn) {
+  unsigned int h = 0;
+  unsigned long long l = 0;
+  char tag[16] = {0};
+  if (std::sscanf(meta.c_str(), "%15s %u %llu", tag, &h, &l) != 3 ||
+      std::string(tag) != kMetaPrefix) {
+    return Status::IOError("unrecognized checkpoint metadata: " + meta);
+  }
+  *head = static_cast<storage::PageId>(h);
+  *lsn = l;
+  return Status::OK();
+}
+
+// The marker Wal::Checkpoint(lsn) leaves: it takes the next LSN and
+// carries the LSN it covers in txn_id.
+WalRecord CheckpointMarker(uint64_t lsn) {
+  WalRecord rec;
+  rec.lsn = lsn + 1;
+  rec.type = WalRecordType::kCheckpoint;
+  rec.txn_id = lsn;
+  return rec;
+}
 
 struct ReplMetrics {
   common::Counter* commits_acked;
@@ -61,10 +103,12 @@ struct ReplMetrics {
 // Applies `records` (a log slice) to `store`: data records of committed
 // transactions are applied in log order (2PL guarantees per-key record
 // order equals commit order), records of transactions whose commit
-// marker is absent land in `leftover` (if non-null) to wait for it.
-// `applied_lsn` advances to the last commit marker seen.
-void ApplyRecords(const std::vector<WalRecord>& records, kv::KvStore* store,
-                  uint64_t* applied_lsn, std::vector<WalRecord>* leftover) {
+// marker is absent land in `leftover` to wait for it. `applied_lsn`
+// advances to the last commit or checkpoint marker seen. Returns the
+// number of transactions applied.
+uint64_t ApplyRecords(std::span<const WalRecord> records, kv::KvStore* store,
+                      uint64_t* applied_lsn,
+                      std::vector<WalRecord>* leftover) {
   std::set<uint64_t> committed;
   for (const WalRecord& rec : records) {
     if (rec.type == WalRecordType::kCommit) committed.insert(rec.txn_id);
@@ -73,23 +117,21 @@ void ApplyRecords(const std::vector<WalRecord>& records, kv::KvStore* store,
     switch (rec.type) {
       case WalRecordType::kPut:
       case WalRecordType::kDelete:
-        if (committed.count(rec.txn_id) > 0) {
-          if (rec.type == WalRecordType::kPut) {
-            (void)!store->Put(rec.key, rec.value).ok();
-          } else {
-            (void)!store->Delete(rec.key).ok();
-          }
-        } else if (leftover != nullptr) {
+        if (committed.count(rec.txn_id) == 0) {
           leftover->push_back(rec);
+        } else if (rec.type == WalRecordType::kPut) {
+          store->ApplyCommitted(rec.key, rec.value);
+        } else {
+          store->ApplyCommitted(rec.key, std::nullopt);
         }
         break;
       case WalRecordType::kCommit:
-        if (rec.lsn > *applied_lsn) *applied_lsn = rec.lsn;
-        break;
       case WalRecordType::kCheckpoint:
+        if (rec.lsn > *applied_lsn) *applied_lsn = rec.lsn;
         break;
     }
   }
+  return committed.size();
 }
 
 // Ring placement hash: FNV-1a alone clusters badly for short strings
@@ -111,8 +153,9 @@ uint64_t PlacementHash(const std::string& s) {
 // ------------------------------------------------------------- ShardGroup
 
 /// One shard's replica group: leader + K followers, each with its own
-/// WAL and in-memory store. All mutation runs under mu_ — replication
-/// within a shard is serialized; throughput scales across shards.
+/// WAL, checkpoint image and in-memory store. All mutation runs under
+/// mu_ — replication within a shard is serialized; throughput scales
+/// across shards.
 class ShardGroup {
  public:
   ShardGroup(int shard_id, const ReplOptions& options)
@@ -121,43 +164,34 @@ class ShardGroup {
         rng_(options.election_seed +
              0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(shard_id + 1)) {}
 
-  /// Creates (or recovers) every replica. With a data_dir each WAL is
-  /// replayed; the replica with the highest durable LSN becomes leader
-  /// (recovery selection — not counted as a failover election).
-  Status Open() {
+  /// Creates (or recovers) every replica. With a data_dir each replica
+  /// loads its image and replays its WAL; the replica with the highest
+  /// durable LSN becomes leader (recovery selection — not counted as a
+  /// failover election) and its log becomes the shard log. A follower
+  /// whose log ends below the shard log's start is reported down.
+  /// `*max_txn_id` rises to the highest transaction id in any WAL.
+  Status Open(uint64_t* max_txn_id) {
     std::lock_guard<std::mutex> lock(mu_);
     const int n = options_.followers_per_shard + 1;
-    std::vector<std::vector<WalRecord>> recovered(
-        static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       Replica r;
       r.id = i;
       r.store = std::make_unique<kv::KvStore>(options_.kv_partitions);
+      std::vector<WalRecord> log;
       if (!options_.data_dir.empty()) {
-        const std::string path = StrFormat(
-            "%s/shard%03d_replica%02d.wal", options_.data_dir.c_str(),
-            shard_id_, i);
-        auto wal = Wal::Open(path);
-        if (!wal.ok()) return wal.status();
-        r.wal = std::move(*wal);
-        auto& recs = recovered[static_cast<size_t>(i)];
-        EEA_RETURN_NOT_OK(r.wal->Replay([&recs](const WalRecord& rec) {
-          recs.push_back(rec);
-          return Status::OK();
-        }));
-        ApplyRecords(recs, r.store.get(), &r.applied_lsn, nullptr);
-        r.durable_lsn = r.wal->next_lsn() - 1;
+        EEA_RETURN_NOT_OK(RecoverReplica(&r, &log, max_txn_id));
       }
       replicas_.push_back(std::move(r));
-    }
-    leader_ = 0;
-    for (int i = 1; i < n; ++i) {
-      if (replicas_[static_cast<size_t>(i)].durable_lsn >
-          replicas_[static_cast<size_t>(leader_)].durable_lsn) {
+      if (i == 0 || replicas_.back().durable_lsn >
+                        replicas_[static_cast<size_t>(leader_)].durable_lsn) {
         leader_ = i;
+        log_ = std::move(log);
       }
     }
-    log_ = std::move(recovered[static_cast<size_t>(leader_)]);
+    log_base_ = log_.empty() ? 0 : log_.front().lsn - 1;
+    for (const Replica& r : replicas_) {
+      if (r.durable_lsn < log_base_) DownLocked(r.id);
+    }
     mem_next_lsn_ =
         replicas_[static_cast<size_t>(leader_)].durable_lsn + 1;
     return Status::OK();
@@ -224,14 +258,16 @@ class ShardGroup {
           "repl: leader crashed mid-commit (injected)");
     }
     // 3. The batch enters the shard log (catch-up source).
-    for (const WalRecord& rec : batch) log_.push_back(rec);
-    mem_next_lsn_ = batch.back().lsn + 1;
+    const size_t batch_size = batch.size();
+    mem_next_lsn_ = leader.durable_lsn + 1;
+    log_.insert(log_.end(), std::make_move_iterator(batch.begin()),
+                std::make_move_iterator(batch.end()));
     // 4. Ship to every live follower; a lagging follower receives the
     //    whole suffix it is missing in one batch.
     int acks = 0;
     for (Replica& f : replicas_) {
       if (f.id == leader_ || f.down) continue;
-      if (ShipSuffixLocked(&f, batch.size())) ++acks;
+      if (ShipSuffixLocked(&f, batch_size)) ++acks;
     }
     const int quorum =
         std::min(options_.write_quorum, options_.followers_per_shard);
@@ -246,9 +282,30 @@ class ShardGroup {
     }
     ++stats_.commits_acked;
     ReplMetrics::Get().commits_acked->Increment();
-    // The caller applies the writes to the leader store right after
-    // (its kv transaction still holds the row locks).
-    leader.applied_lsn = leader.durable_lsn;
+    // 5. Apply to the leader's store before the shard mutex is released,
+    //    so a checkpoint never images a store that lacks an acked write.
+    //    The caller's kv transaction still holds the row locks.
+    ApplyRecords(std::span(log_).last(batch_size), leader.store.get(),
+                 &leader.applied_lsn, &leader.apply_queue);
+    return Status::OK();
+  }
+
+  /// Images the leader's store at its durable LSN, then ships the
+  /// checkpoint marker like any other record (see the header comment).
+  Status Checkpoint() {
+    std::lock_guard<std::mutex> lock(mu_);
+    EEA_RETURN_NOT_OK(EnsureLeaderLocked());
+    Replica& leader = replicas_[static_cast<size_t>(leader_)];
+    if (leader.wal == nullptr) {
+      return Status::FailedPrecondition(
+          "repl: a volatile store has nothing to checkpoint");
+    }
+    const uint64_t lsn = leader.durable_lsn;
+    EEA_RETURN_NOT_OK(CheckpointReplica(&leader, lsn));
+    log_.push_back(CheckpointMarker(lsn));
+    for (Replica& f : replicas_) {
+      if (f.id != leader_ && !f.down) ShipSuffixLocked(&f, 1);
+    }
     return Status::OK();
   }
 
@@ -331,6 +388,9 @@ class ShardGroup {
       rs.lag_frames = out.leader_lsn > r.durable_lsn
                           ? out.leader_lsn - r.durable_lsn
                           : 0;
+      rs.checkpoint_lsn = r.checkpoint_lsn;
+      rs.recovered_rows = r.recovered_rows;
+      rs.recovered_txns = r.recovered_txns;
       out.replicas.push_back(rs);
     }
     return out;
@@ -368,12 +428,129 @@ class ShardGroup {
     int id = 0;
     bool down = false;
     std::unique_ptr<Wal> wal;  // null in volatile mode
+    // The checkpoint image's pages file; null until the replica's first
+    // checkpoint (or an open that finds the file).
+    std::unique_ptr<storage::DiskStorageManager> disk;
+    std::unique_ptr<storage::BufferPool> pool;
     std::unique_ptr<kv::KvStore> store;
     uint64_t durable_lsn = 0;
     uint64_t applied_lsn = 0;
-    // Durably appended but not yet applied (repl.follower.apply lag).
+    uint64_t checkpoint_lsn = 0;
+    uint64_t recovered_rows = 0;
+    uint64_t recovered_txns = 0;
+    // Durably appended but not yet applied (repl.follower.apply lag),
+    // plus records of transactions whose commit marker never arrived.
     std::vector<WalRecord> apply_queue;
   };
+
+  std::string FilePath(int replica, const char* ext) const {
+    return StrFormat("%s/shard%03d_replica%02d.%s", options_.data_dir.c_str(),
+                     shard_id_, replica, ext);
+  }
+
+  // Loads `r`'s checkpoint image (if its pages file exists) and replays
+  // its WAL, reading it once, above the image's LSN. `log` receives the
+  // replica's log as its WAL holds it: the checkpoint marker, which
+  // Wal::Replay skips, then every record after it.
+  Status RecoverReplica(Replica* r, std::vector<WalRecord>* log,
+                        uint64_t* max_txn_id) {
+    EEA_ASSIGN_OR_RETURN(r->wal, Wal::Open(FilePath(r->id, "wal")));
+    if (std::filesystem::exists(FilePath(r->id, "pages"))) {
+      EEA_RETURN_NOT_OK(OpenPages(r));
+      EEA_RETURN_NOT_OK(LoadImage(r));
+    }
+    const uint64_t wal_checkpoint = r->wal->checkpoint_lsn();
+    if (wal_checkpoint > 0) log->push_back(CheckpointMarker(wal_checkpoint));
+    EEA_RETURN_NOT_OK(r->wal->Replay([&](const WalRecord& rec) {
+      *max_txn_id = std::max(*max_txn_id, rec.txn_id);
+      log->push_back(rec);
+      return Status::OK();
+    }));
+    r->durable_lsn = r->wal->next_lsn() - 1;
+    // The WAL must continue the image: a WAL truncated past the image,
+    // or one that ends below it, has lost committed records.
+    if (wal_checkpoint > r->checkpoint_lsn ||
+        r->durable_lsn < r->checkpoint_lsn) {
+      return Status::IOError(StrFormat(
+          "repl: %s (checkpoint %llu, last lsn %llu) does not continue its "
+          "checkpoint image at lsn %llu",
+          r->wal->path().c_str(),
+          static_cast<unsigned long long>(wal_checkpoint),
+          static_cast<unsigned long long>(r->durable_lsn),
+          static_cast<unsigned long long>(r->checkpoint_lsn)));
+    }
+    // Records at or below the image's LSN are in the image already (a
+    // crash between the meta flip and the WAL truncation leaves them).
+    auto suffix = std::find_if(log->begin(), log->end(), [r](const auto& rec) {
+      return rec.lsn > r->checkpoint_lsn;
+    });
+    r->applied_lsn = r->checkpoint_lsn;
+    r->recovered_txns =
+        ApplyRecords(std::span(suffix, log->end()), r->store.get(),
+                     &r->applied_lsn, &r->apply_queue);
+    return Status::OK();
+  }
+
+  Status OpenPages(Replica* r) {
+    EEA_ASSIGN_OR_RETURN(
+        r->disk, storage::DiskStorageManager::Open(FilePath(r->id, "pages")));
+    r->pool =
+        std::make_unique<storage::BufferPool>(r->disk.get(), kImagePoolPages);
+    return Status::OK();
+  }
+
+  // Loads the image the meta slot names into `r`'s store; an empty slot
+  // (the first checkpoint never completed) means no image.
+  Status LoadImage(Replica* r) {
+    EEA_ASSIGN_OR_RETURN(const std::string meta, r->disk->ReadMeta());
+    if (meta.empty()) return Status::OK();
+    storage::PageId head = storage::kInvalidPageId;
+    EEA_RETURN_NOT_OK(DecodeCheckpointMeta(meta, &head, &r->checkpoint_lsn));
+    storage::PageChainReader reader(r->pool.get(), head);
+    EEA_ASSIGN_OR_RETURN(r->recovered_rows, reader.ReadU64());
+    for (uint64_t i = 0; i < r->recovered_rows; ++i) {
+      EEA_ASSIGN_OR_RETURN(std::string key, reader.ReadString());
+      EEA_ASSIGN_OR_RETURN(std::string value, reader.ReadString());
+      r->store->ApplyCommitted(key, std::move(value));
+    }
+    return Status::OK();
+  }
+
+  // Images `r`'s store, which has applied every commit up to `lsn`, and
+  // truncates its WAL to a checkpoint marker at lsn + 1. Durability
+  // order: pages -> fsync -> meta flip (the atomic commit point) -> free
+  // the old image -> truncate the WAL. A crash anywhere in it recovers:
+  // before the flip the old image and the full WAL win; after it the new
+  // image wins and stale WAL records sit at or below its LSN.
+  Status CheckpointReplica(Replica* r, uint64_t lsn) {
+    if (r->pool == nullptr) EEA_RETURN_NOT_OK(OpenPages(r));
+    storage::PageId old_head = storage::kInvalidPageId;
+    EEA_ASSIGN_OR_RETURN(const std::string old_meta, r->disk->ReadMeta());
+    if (!old_meta.empty()) {
+      uint64_t old_lsn = 0;
+      EEA_RETURN_NOT_OK(DecodeCheckpointMeta(old_meta, &old_head, &old_lsn));
+    }
+    // ScanPrefix is globally key-sorted: the image is deterministic.
+    const auto rows = r->store->ScanPrefix("");
+    storage::PageChainWriter writer(r->pool.get(), lsn);
+    EEA_RETURN_NOT_OK(writer.WriteU64(rows.size()));
+    for (const auto& [key, value] : rows) {
+      EEA_RETURN_NOT_OK(writer.WriteString(key));
+      EEA_RETURN_NOT_OK(writer.WriteString(value));
+    }
+    EEA_ASSIGN_OR_RETURN(const storage::PageId head, writer.Finish());
+    EEA_RETURN_NOT_OK(r->pool->FlushAll());
+    EEA_RETURN_NOT_OK(r->disk->Sync());
+    EEA_RETURN_NOT_OK(r->disk->WriteMeta(EncodeCheckpointMeta(head, lsn)));
+    EEA_RETURN_NOT_OK(storage::FreeChain(r->pool.get(), old_head));
+    EEA_RETURN_NOT_OK(r->wal->Checkpoint(lsn));
+    r->checkpoint_lsn = lsn;
+    r->durable_lsn = r->applied_lsn = lsn + 1;
+    // Anything still queued belongs to transactions whose commit marker
+    // never came; the truncated WAL no longer holds them either.
+    r->apply_queue.clear();
+    return Status::OK();
+  }
 
   Status CheckReplicaLocked(int replica) const {
     if (replica < 0 || replica >= static_cast<int>(replicas_.size())) {
@@ -439,8 +616,8 @@ class ShardGroup {
     // The new leader's log is authoritative: drop bookkeeping for
     // records no surviving replica holds (the dead leader's unshipped
     // tail — exactly the unacked writes that must stay invisible).
-    if (log_.size() > w.durable_lsn) {
-      log_.resize(static_cast<size_t>(w.durable_lsn));
+    if (log_base_ + log_.size() > w.durable_lsn) {
+      log_.resize(static_cast<size_t>(w.durable_lsn - log_base_));
     }
     mem_next_lsn_ = w.durable_lsn + 1;
   }
@@ -450,12 +627,11 @@ class ShardGroup {
   // ack). `new_records` is the size of the just-committed batch, so
   // anything beyond it counts as catch-up traffic.
   bool ShipSuffixLocked(Replica* f, size_t new_records) {
-    if (f->durable_lsn >= log_.size()) return true;  // already caught up
-    std::vector<WalRecord> suffix(
-        log_.begin() + static_cast<ptrdiff_t>(f->durable_lsn), log_.end());
+    if (f->durable_lsn >= log_base_ + log_.size()) return true;  // caught up
     std::string bytes;
-    for (const WalRecord& rec : suffix) {
-      bytes += Wal::EncodeRecordFrame(rec);
+    for (size_t i = static_cast<size_t>(f->durable_lsn - log_base_);
+         i < log_.size(); ++i) {
+      bytes += Wal::EncodeRecordFrame(log_[i]);
     }
     // The channel fault boundary: `io` corrupts the bytes in flight
     // (the follower's shared frame scan must reject them), any other
@@ -483,28 +659,38 @@ class ShardGroup {
       ReplMetrics::Get().follower_rejects->Increment();
       return false;
     }
-    if (f->wal != nullptr) {
-      for (const WalRecord& rec : records) {
-        auto lsn = f->wal->Append(rec.type, rec.txn_id, rec.key, rec.value);
-        if (!lsn.ok()) {
-          DownLocked(f->id);  // follower lost its wal: node loss
+    const size_t shipped = records.size();
+    const uint64_t last_lsn = records.back().lsn;
+    for (WalRecord& rec : records) {
+      if (rec.type == WalRecordType::kCheckpoint) {
+        // The leader checkpointed at txn_id: image the same state, so
+        // this replica writes its marker at the same LSN.
+        DrainApplyLocked(f);
+        if (!CheckpointReplica(f, rec.txn_id).ok()) {
+          DownLocked(f->id);  // follower lost its files: node loss
           return false;
         }
+        continue;
       }
-      if (!f->wal->Sync().ok()) {
-        DownLocked(f->id);
+      if (f->wal != nullptr &&
+          !f->wal->Append(rec.type, rec.txn_id, rec.key, rec.value).ok()) {
+        DownLocked(f->id);  // follower lost its wal: node loss
         return false;
       }
+      f->apply_queue.push_back(std::move(rec));
     }
-    f->durable_lsn = records.back().lsn;  // the ack point
-    stats_.frames_shipped += records.size();
-    ReplMetrics::Get().frames_shipped->Increment(records.size());
-    if (records.size() > new_records) {
-      const uint64_t catchup = records.size() - new_records;
+    if (f->wal != nullptr && !f->wal->Sync().ok()) {
+      DownLocked(f->id);
+      return false;
+    }
+    f->durable_lsn = last_lsn;  // the ack point
+    stats_.frames_shipped += shipped;
+    ReplMetrics::Get().frames_shipped->Increment(shipped);
+    if (shipped > new_records) {
+      const uint64_t catchup = shipped - new_records;
       stats_.catchup_records += catchup;
       ReplMetrics::Get().catchup_records->Increment(catchup);
     }
-    for (WalRecord& rec : records) f->apply_queue.push_back(std::move(rec));
     // Applying to the in-memory store can lag behind the durable append
     // without voiding the ack; the queue drains on the next batch or on
     // promotion.
@@ -531,9 +717,11 @@ class ShardGroup {
   uint64_t election_term_ = 0;
   // Next LSN in volatile mode (durable mode asks the leader's WAL).
   uint64_t mem_next_lsn_ = 1;
-  // The shard's replicated log; log_[i].lsn == i + 1. Never compacted
-  // (see header) — the catch-up source for lagging followers.
+  // The shard's replicated log, the catch-up source for lagging
+  // followers: log_[i].lsn == log_base_ + i + 1. It starts at the
+  // recovery leader's checkpoint marker and is not trimmed while open.
   std::vector<WalRecord> log_;
+  uint64_t log_base_ = 0;
   ReplStats stats_;  // elections tracked separately in elections_
 };
 
@@ -597,23 +785,23 @@ class ReplTransaction final : public kv::MetaTransaction {
     for (auto it = handles_.begin(); it != handles_.end(); ++it) {
       Handle& h = it->second;
       if (h.writes.empty()) {
-        (void)!h.txn->Commit().ok();  // read-only: release row locks
+        h.txn->Abort();  // read-only on this shard: release the row locks
         continue;
       }
-      Status s = store_->shards_[static_cast<size_t>(it->first)]->Replicate(
-          id_, h.writes, h.leader);
-      if (s.ok()) {
-        // Quorum reached; apply to the leader store under our row locks.
-        (void)!h.txn->Commit().ok();
-        past_commit_point = true;
-        continue;
-      }
-      if (!past_commit_point) {
-        for (auto jt = it; jt != handles_.end(); ++jt) jt->second.txn->Abort();
-        return s;
-      }
+      const Status s =
+          store_->shards_[static_cast<size_t>(it->first)]->Replicate(
+              id_, h.writes, h.leader);
+      // Replicate applied the rows to the leader store under our row
+      // locks (or refused the commit): Abort only releases the locks.
       h.txn->Abort();
-      EEA_RETURN_NOT_OK(RetryShardCommit(it->first, h.writes));
+      if (s.ok()) {
+        past_commit_point = true;
+      } else if (!past_commit_point) {
+        Abort();
+        return s;
+      } else {
+        EEA_RETURN_NOT_OK(RetryShardCommit(it->first, h.writes));
+      }
     }
     return Status::OK();
   }
@@ -651,8 +839,8 @@ class ReplTransaction final : public kv::MetaTransaction {
   }
 
   // Past-commit-point completion of one shard: re-acquire locks on the
-  // current leader, replicate, apply. Loops over elections and lock
-  // conflicts; fails only if the shard loses every replica.
+  // current leader, then replicate (which applies). Loops over elections
+  // and lock conflicts; fails only if the shard loses every replica.
   Status RetryShardCommit(int sid, const WriteSet& writes) {
     ShardGroup* shard = store_->shards_[static_cast<size_t>(sid)].get();
     for (int attempt = 0; attempt < 64; ++attempt) {
@@ -676,12 +864,9 @@ class ReplTransaction final : public kv::MetaTransaction {
         }
       }
       if (conflict) continue;
-      Status s = shard->Replicate(id_, writes, leader);
-      if (s.ok()) {
-        (void)!txn->Commit().ok();
-        return Status::OK();
-      }
-      txn->Abort();
+      const Status s = shard->Replicate(id_, writes, leader);
+      txn->Abort();  // releases the row locks; Replicate applied the rows
+      if (s.ok()) return Status::OK();
       if (s.code() != StatusCode::kAborted &&
           s.code() != StatusCode::kUnavailable) {
         return s;
@@ -742,10 +927,12 @@ Result<std::unique_ptr<ReplicatedKvStore>> ReplicatedKvStore::Open(
     store->ring_hash_.push_back(hash);
     store->ring_shard_.push_back(shard);
   }
+  uint64_t max_txn_id = 0;
   for (int s = 0; s < options.num_shards; ++s) {
     store->shards_.push_back(std::make_unique<ShardGroup>(s, options));
-    EEA_RETURN_NOT_OK(store->shards_.back()->Open());
+    EEA_RETURN_NOT_OK(store->shards_.back()->Open(&max_txn_id));
   }
+  store->next_txn_id_.store(max_txn_id + 1, std::memory_order_relaxed);
   return store;
 }
 
@@ -848,15 +1035,14 @@ Status ReplicatedKvStore::CheckReady() const {
   return Status::OK();
 }
 
+Status ReplicatedKvStore::Checkpoint() {
+  for (const auto& shard : shards_) EEA_RETURN_NOT_OK(shard->Checkpoint());
+  return Status::OK();
+}
+
 void ReplicatedKvStore::CrashReplica(int shard, int replica) {
   if (shard < 0 || shard >= num_shards()) return;
   shards_[static_cast<size_t>(shard)]->Crash(replica);
-}
-
-kv::KvStore* ReplicatedKvStore::leader_store(int shard) {
-  if (shard < 0 || shard >= num_shards()) return nullptr;
-  int idx = -1;
-  return shards_[static_cast<size_t>(shard)]->LeaderStore(&idx);
 }
 
 }  // namespace exearth::repl

@@ -1,12 +1,16 @@
-// Sharded, replicated metadata store (ROADMAP item 3).
+// Sharded, replicated metadata store (ROADMAP item 3), and the only
+// durable kv:: store: a single durable store is one shard with zero
+// followers (followers_per_shard = 0, write_quorum = 0, a data_dir).
 //
 // The paper's HopsFS result rests on a replicated, partitioned NewSQL
 // store under the namenode; this module reproduces that shape in
 // process. Keys are placed on N shards by consistent hashing (a seeded
 // vnode ring, so placement is stable and deterministic). Each shard is a
-// replica group: one leader plus K followers, every replica owning its
-// own WAL file (PR 9's redo log) and an in-memory kv::KvStore rebuilt
-// from that log on open.
+// replica group: one leader plus K followers. Every replica owns a WAL
+// file (shardSSS_replicaRR.wal), a checkpoint image in a pages file
+// beside it (shardSSS_replicaRR.pages, created by the replica's first
+// checkpoint) and an in-memory kv::KvStore, the state machine the log
+// applies to. All replicas of a shard share one LSN sequence.
 //
 // Commit protocol (per shard, serialized by the shard mutex):
 //   1. the leader appends the transaction's Put/Delete records plus a
@@ -25,7 +29,21 @@
 //      batch durable-but-unapplied (replication lag in applied LSN);
 //   4. the commit is acknowledged only once >= write_quorum followers
 //      acked; on a quorum miss the leader steps down and the commit
-//      returns Unavailable (unacknowledged).
+//      returns Unavailable (unacknowledged). An acked commit is applied
+//      to the leader's store before the shard mutex is released, so a
+//      checkpoint never images a store that lacks an acked write.
+//
+// Checkpoints run only when Checkpoint() is called. The leader images
+// its store at its durable LSN L into a fresh page chain, flips the
+// pages file's meta slot to it (`kvckpt1 <head> <L>`), frees the old
+// chain and truncates its WAL to a checkpoint marker at L + 1. The
+// marker then ships like any other record: a follower that receives it
+// drains its apply queue and checkpoints at the same L, so every
+// replica writes the same marker LSN (a failed follower checkpoint is a
+// node loss). Open loads the image named by the meta slot and replays
+// the WAL above its LSN; the shard log starts at the leader's
+// checkpoint marker, and a follower whose log ends below that point is
+// reported down (it would need the image, not the log, to catch up).
 //
 // Failover: when a leader dies (injected crash, poisoned WAL, or
 // CrashReplica), a deterministic election picks the live replica with
@@ -39,6 +57,10 @@
 // reconsidered); lagging followers are caught up from the shard's
 // in-memory log on the next ship.
 //
+// Transaction ids resume past the highest id in any replica's WAL, so
+// the data records of a commit that lost its marker never join a later
+// transaction's commit at replay.
+//
 // Cross-shard transactions commit shard-by-shard in shard-id order:
 // before the first shard acks, any failure aborts the whole transaction
 // (nothing durable anywhere); after the first ack the transaction is
@@ -49,8 +71,8 @@
 // stuck partial and reported Unavailable — with K >= 1 and single-node
 // crashes this cannot happen.)
 //
-// Logs are never checkpointed here: recovery replays a replica's full
-// WAL (log compaction is future work; see README "Replication").
+// The in-memory shard log is not trimmed at a checkpoint (see README
+// "Replication").
 
 #ifndef EXEARTH_REPL_REPLICATED_STORE_H_
 #define EXEARTH_REPL_REPLICATED_STORE_H_
@@ -84,9 +106,10 @@ struct ReplOptions {
   int kv_partitions = 4;
   /// Virtual nodes per shard on the consistent-hash ring.
   int ring_vnodes = 16;
-  /// Directory for per-replica WAL files (created if missing). Empty =
-  /// volatile mode: the full protocol runs (channels, quorum, elections)
-  /// but nothing touches disk — for tools and smoke tests.
+  /// Directory for per-replica WAL and checkpoint files (created if
+  /// missing). Empty = volatile mode: the full protocol runs (channels,
+  /// quorum, elections) but nothing touches disk — for tools and smoke
+  /// tests.
   std::string data_dir;
   /// Seed for the election-term nonce stream (the winner rule itself is
   /// deterministic; the nonce makes each election traceable).
@@ -99,9 +122,12 @@ struct ReplicaStatus {
   int replica = 0;
   bool is_leader = false;
   bool down = false;
-  uint64_t durable_lsn = 0;  // highest LSN durably appended
-  uint64_t applied_lsn = 0;  // highest LSN applied to the in-memory store
-  uint64_t lag_frames = 0;   // leader durable LSN - this durable LSN
+  uint64_t durable_lsn = 0;     // highest LSN durably appended
+  uint64_t applied_lsn = 0;     // highest LSN applied to the in-memory store
+  uint64_t lag_frames = 0;      // leader durable LSN - this durable LSN
+  uint64_t checkpoint_lsn = 0;  // LSN the checkpoint image covers (0: none)
+  uint64_t recovered_rows = 0;  // rows loaded from that image at open
+  uint64_t recovered_txns = 0;  // committed transactions replayed at open
 };
 
 struct ShardStatus {
@@ -133,9 +159,10 @@ class ShardGroup;
 /// commits are serialized by the shard mutex.
 class ReplicatedKvStore final : public kv::MetaStore {
  public:
-  /// Opens (or recovers) a store. With a data_dir, each replica's WAL is
-  /// replayed: committed transactions become visible, the replica with
-  /// the highest durable LSN (ties: lowest id) becomes leader.
+  /// Opens (or recovers) a store. With a data_dir, each replica loads its
+  /// checkpoint image (if any) and replays its WAL above the image's LSN:
+  /// committed transactions become visible, the replica with the highest
+  /// durable LSN (ties: lowest id) becomes leader.
   static common::Result<std::unique_ptr<ReplicatedKvStore>> Open(
       const ReplOptions& options);
 
@@ -180,9 +207,10 @@ class ReplicatedKvStore final : public kv::MetaStore {
   /// leader triggers an immediate election. Drills and the blackout
   /// bench use this alongside the `repl.*` fault points.
   void CrashReplica(int shard, int replica);
-  /// The current leader's in-memory store for a shard (test hook; may
-  /// run a pending election, nullptr if the shard has no live replica).
-  kv::KvStore* leader_store(int shard);
+  /// Checkpoints every shard (see the header comment); runs only when
+  /// called. A failed leader checkpoint is returned and leaves its shard
+  /// serving. FailedPrecondition on a volatile store.
+  common::Status Checkpoint();
 
  private:
   friend class ReplTransaction;
@@ -193,6 +221,7 @@ class ReplicatedKvStore final : public kv::MetaStore {
   std::vector<uint64_t> ring_hash_;
   std::vector<int> ring_shard_;
   std::vector<std::unique_ptr<ShardGroup>> shards_;
+  // Resumes past the highest transaction id in any replica's WAL.
   std::atomic<uint64_t> next_txn_id_{1};
 };
 

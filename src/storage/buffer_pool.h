@@ -10,8 +10,8 @@
 //
 // Metrics: storage.bufferpool.hits / misses / evictions / writebacks.
 //
-// Invariants (enforced by CheckInvariants(), called by the torture test's
-// debug hook after every operation batch):
+// Invariants (enforced by CheckInvariants(), which the buffer-pool and
+// frozen-R-tree tests call after their operations):
 //   - every frame's pin count is >= 0;
 //   - a pinned frame is never on the LRU list (so never evictable);
 //   - frames_ holds at most `capacity` frames;
@@ -112,8 +112,7 @@ class BufferPool {
   BufferPoolStats stats() const;
 
   /// Debug validation hook: verifies the pool invariants (header comment)
-  /// and returns InternalError naming the first violation. The torture
-  /// test calls this after every operation batch.
+  /// and returns InternalError naming the first violation.
   common::Status CheckInvariants() const;
 
  private:

@@ -10,11 +10,15 @@
 //      zero lost acknowledged writes, unacknowledged transactions stay
 //      invisible, and the whole drill is byte-identical when rerun at
 //      the same seed (state hash, stats, election terms).
-//   4. The integrations: HopsFS metadata over the sharded store with
+//   4. Replica checkpoints: the marker ships to a lagging follower inside
+//      its catch-up suffix, every replica reopens at the same LSNs, and
+//      the kill-leader drill holds its laws across a checkpoint.
+//   5. The integrations: HopsFS metadata over the sharded store with
 //      per-shard inode-id ranges, follower replicas as federation read
 //      endpoints (partial_ok + degraded_sources), and the /shardz +
 //      Prometheus admin surface.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -365,10 +369,14 @@ struct DrillOutcome {
   uint64_t recovered_hash = 0;       // state hash after restart
   ReplStats stats;                   // counters before the restart
   std::vector<uint64_t> election_terms;
+  uint64_t recovered_rows = 0;  // image rows loaded at the restart
+  int down_after_restart = 0;   // replicas reported down after it
 };
 
+// `checkpoint_before` >= 0 checkpoints every shard before that put.
 DrillOutcome RunLeaderKillDrill(const std::string& dir, uint64_t seed,
-                                uint64_t crash_at_commit) {
+                                uint64_t crash_at_commit,
+                                int checkpoint_before = -1) {
   FaultInjector::Default().Reset();
   FaultInjector::Default().set_seed(seed);
   FaultRule rule;
@@ -385,6 +393,10 @@ DrillOutcome RunLeaderKillDrill(const std::string& dir, uint64_t seed,
   {
     auto store = OpenOrDie(opt);
     for (int i = 0; i < 40; ++i) {
+      if (i == checkpoint_before) {
+        const Status ck = store->Checkpoint();
+        EXPECT_TRUE(ck.ok()) << ck.ToString();
+      }
       const std::string key = common::StrFormat("drill%03d", i);
       Status s = store->Put(key, "value-" + std::to_string(i));
       if (s.ok()) {
@@ -397,15 +409,16 @@ DrillOutcome RunLeaderKillDrill(const std::string& dir, uint64_t seed,
     out.stats = store->repl_stats();
     for (const ShardStatus& shard : store->StatusSnapshot()) {
       out.election_terms.push_back(shard.election_term);
-      // The crashed node's WAL dies with it: permanent node loss. Remove
-      // it before the restart below, exactly like the failover drill in
+      // The crashed node's files die with it: permanent node loss.
+      // Remove them before the restart below, like the failover drill in
       // bench_e19 (otherwise recovery would resurrect the dead leader's
       // unshipped — unacknowledged — tail).
       for (const ReplicaStatus& r : shard.replicas) {
-        if (r.down) {
+        if (!r.down) continue;
+        for (const char* ext : {"wal", "pages"}) {
           std::filesystem::remove(common::StrFormat(
-              "%s/shard%03d_replica%02d.wal", dir.c_str(), r.shard,
-              r.replica));
+              "%s/shard%03d_replica%02d.%s", dir.c_str(), r.shard,
+              r.replica, ext));
         }
       }
     }
@@ -421,6 +434,12 @@ DrillOutcome RunLeaderKillDrill(const std::string& dir, uint64_t seed,
         << key << ": unacknowledged write became visible";
   }
   out.recovered_hash = ContentHash(*recovered);
+  for (const ShardStatus& shard : recovered->StatusSnapshot()) {
+    for (const ReplicaStatus& r : shard.replicas) {
+      out.recovered_rows += r.recovered_rows;
+      if (r.down) ++out.down_after_restart;
+    }
+  }
   return out;
 }
 
@@ -460,6 +479,154 @@ TEST_F(ReplTest, LeaderKillDrillLosesNoAckedWritesAndIsDeterministic) {
                                       kCrashAtCommit);
   EXPECT_EQ(c.stats.leader_crashes, 1u);
   EXPECT_NE(a.election_terms, c.election_terms);
+}
+
+TEST_F(ReplTest, LeaderKillDrillAfterCheckpointLosesNoAckedWrites) {
+  TempDir dir;
+  const DrillOutcome out = RunLeaderKillDrill(dir.path(), 42, 17,
+                                              /*checkpoint_before=*/10);
+  EXPECT_EQ(out.refused.size(), 1u);
+  EXPECT_EQ(out.acked.size(), 39u);
+  EXPECT_EQ(out.stats.leader_crashes, 1u);
+  EXPECT_GT(out.recovered_rows, 0u) << "no replica reopened from its image";
+  // The wiped replica's log ends below its shard log's start (the new
+  // leader's checkpoint marker): it cannot catch up from the log.
+  EXPECT_EQ(out.down_after_restart, 1);
+}
+
+TEST_F(ReplTest, CheckpointReachesLaggingFollowerAndSurvivesReopen) {
+  TempDir dir;
+  ReplOptions opt;
+  opt.num_shards = 1;
+  opt.followers_per_shard = 2;
+  opt.write_quorum = 1;
+  opt.data_dir = dir.path();
+  auto expect_replicas_agree = [](const ReplicatedKvStore& store) {
+    const ShardStatus shard = store.StatusSnapshot()[0];
+    auto leader_rows = store.ScanReplicaPrefix(0, shard.leader, "");
+    ASSERT_TRUE(leader_rows.ok());
+    for (const ReplicaStatus& r : shard.replicas) {
+      EXPECT_FALSE(r.down) << "replica " << r.replica;
+      EXPECT_EQ(r.durable_lsn, shard.leader_lsn) << "replica " << r.replica;
+      EXPECT_EQ(r.checkpoint_lsn, shard.replicas[0].checkpoint_lsn)
+          << "replica " << r.replica;
+      auto rows = store.ScanReplicaPrefix(0, r.replica, "");
+      ASSERT_TRUE(rows.ok());
+      EXPECT_EQ(*rows, *leader_rows) << "replica " << r.replica;
+    }
+  };
+  uint64_t checkpoint_lsn = 0;
+  {
+    auto store = OpenOrDie(opt);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(store->Put(common::StrFormat("ck%02d", i), "a").ok());
+    }
+    // Each commit ships to follower 1, then follower 2: dropping every
+    // even call cuts follower 2's channel only.
+    FaultRule rule;
+    for (uint64_t call = 2; call <= 40; call += 2) {
+      rule.fail_calls.push_back(call);
+    }
+    FaultInjector::Default().Program("repl.channel.send", rule);
+    for (int i = 5; i < 10; ++i) {
+      ASSERT_TRUE(store->Put(common::StrFormat("ck%02d", i), "b").ok());
+    }
+    ASSERT_TRUE(store->Checkpoint().ok());
+    for (int i = 0; i < 15; i += 2) {
+      ASSERT_TRUE(store->Put(common::StrFormat("ck%02d", i), "c").ok());
+    }
+    ASSERT_TRUE(store->Delete("ck03").ok());
+    const ShardStatus lagging = store->StatusSnapshot()[0];
+    checkpoint_lsn = lagging.replicas[0].checkpoint_lsn;
+    EXPECT_EQ(checkpoint_lsn, 20u);  // 10 puts, two records each
+    EXPECT_EQ(lagging.replicas[1].checkpoint_lsn, checkpoint_lsn);
+    EXPECT_EQ(lagging.replicas[2].checkpoint_lsn, 0u);
+    EXPECT_GT(lagging.replicas[2].lag_frames, 0u);
+    FaultInjector::Default().Reset();
+    // Catch-up ships the marker inside follower 2's missing suffix.
+    ASSERT_TRUE(store->Put("ck99", "d").ok());
+    expect_replicas_agree(*store);
+    EXPECT_EQ(store->StatusSnapshot()[0].replicas[2].checkpoint_lsn,
+              checkpoint_lsn);
+  }
+  auto store = OpenOrDie(opt);
+  expect_replicas_agree(*store);
+  const ShardStatus reopened = store->StatusSnapshot()[0];
+  for (const ReplicaStatus& r : reopened.replicas) {
+    EXPECT_EQ(r.checkpoint_lsn, checkpoint_lsn) << "replica " << r.replica;
+    EXPECT_EQ(r.recovered_rows, 10u) << "replica " << r.replica;
+  }
+  auto got = store->Get("ck04");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, "c");
+  EXPECT_TRUE(store->Get("ck03").status().IsNotFound());
+}
+
+TEST_F(ReplTest, FailedCheckpointLosesFollowerButLeaderKeepsServing) {
+  TempDir dir;
+  ReplOptions opt;
+  opt.num_shards = 1;
+  opt.followers_per_shard = 2;
+  opt.write_quorum = 1;
+  opt.data_dir = dir.path();
+  auto store = OpenOrDie(opt);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(store->Put(common::StrFormat("fc%02d", i), "v").ok());
+  }
+  // Each image fits one page, written by the leader, then follower 1,
+  // then follower 2: failing the second page write loses follower 1.
+  FaultRule rule;
+  rule.fail_calls = {2};
+  FaultInjector::Default().Program("storage.page.write", rule);
+  ASSERT_TRUE(store->Checkpoint().ok());
+  FaultInjector::Default().Reset();
+  ShardStatus shard = store->StatusSnapshot()[0];
+  EXPECT_TRUE(shard.replicas[1].down);
+  EXPECT_FALSE(shard.replicas[2].down);
+  EXPECT_GT(shard.replicas[0].checkpoint_lsn, 0u);
+  EXPECT_EQ(shard.replicas[2].checkpoint_lsn, shard.replicas[0].checkpoint_lsn);
+  ASSERT_TRUE(store->Put("after-follower", "v").ok());  // follower 2 acks
+  // A leader checkpoint whose page write fails is returned, and the
+  // shard keeps serving on its old image and full WAL.
+  rule.fail_calls = {1};
+  FaultInjector::Default().Program("storage.page.write", rule);
+  EXPECT_FALSE(store->Checkpoint().ok());
+  FaultInjector::Default().Reset();
+  shard = store->StatusSnapshot()[0];
+  EXPECT_EQ(shard.leader, 0);
+  EXPECT_EQ(shard.replicas[2].checkpoint_lsn, shard.replicas[0].checkpoint_lsn);
+  ASSERT_TRUE(store->Put("after-leader", "v").ok());
+  auto rows = store->ScanReplicaPrefix(0, 2, "");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 10u);
+}
+
+TEST_F(ReplTest, StoreWithoutCheckpointKeepsOnlyWalFiles) {
+  TempDir dir;
+  ReplOptions opt;
+  opt.num_shards = 2;
+  opt.followers_per_shard = 1;
+  opt.data_dir = dir.path();
+  {
+    auto store = OpenOrDie(opt);
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(store->Put(common::StrFormat("w%02d", i), "v").ok());
+    }
+  }
+  auto store = OpenOrDie(opt);  // reopening creates no pages file either
+  EXPECT_EQ(store->Size(), 20u);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{
+                       "shard000_replica00.wal", "shard000_replica01.wal",
+                       "shard001_replica00.wal", "shard001_replica01.wal"}));
+  // A volatile store has no files to checkpoint into.
+  ReplOptions volatile_opt;
+  EXPECT_EQ(OpenOrDie(volatile_opt)->Checkpoint().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ReplTest, HopsFsRunsOnShardedStoreWithPerShardInodeRanges) {

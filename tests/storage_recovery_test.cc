@@ -1,6 +1,7 @@
 // Durability suite for the paged storage layer (ROADMAP item 1): page
 // CRC framing, the storage managers, buffer-pool invariants, the WAL,
-// and the two consumers (the durable KV store and the frozen R-tree).
+// and the two consumers (the durable KV store — a zero-follower
+// repl::ReplicatedKvStore — and the frozen R-tree).
 //
 // The four pillars, mirroring ISSUE/EXPERIMENTS E18:
 //   1. Crash-recovery chaos: fault points storage.wal.append /
@@ -10,8 +11,7 @@
 //      byte-identical across two runs at the same seed.
 //   2. Randomized torture: >= 10k seeded Put/Delete/Checkpoint/reopen
 //      operations checked against an in-memory model map after every
-//      reopen, with the buffer pool's debug invariant hook after every
-//      batch.
+//      reopen.
 //   3. Golden on-disk format: a fixed operation script must produce
 //      bit-exact page and WAL files against committed fixtures, so
 //      accidental format changes fail loudly (and version bumps are
@@ -46,7 +46,8 @@
 #include "common/string_util.h"
 #include "dfs/hopsfs.h"
 #include "geo/simd.h"
-#include "kv/kvstore.h"
+#include "kv/meta_store.h"
+#include "repl/replicated_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/page_chain.h"
@@ -111,7 +112,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 }
 
 // Order-stable FNV-1a hash of the store's full committed contents.
-uint64_t StoreContentHash(const kv::KvStore& store) {
+uint64_t StoreContentHash(const kv::MetaStore& store) {
   uint64_t h = 1469598103934665603ull;
   for (const auto& [key, value] : store.ScanPrefix("")) {
     h ^= Fnv1a(key);
@@ -122,31 +123,27 @@ uint64_t StoreContentHash(const kv::KvStore& store) {
   return h;
 }
 
-// The full durable stack over one directory. Members are destroyed in
-// reverse declaration order: store, wal, pool, then disk — the pool must
-// die before the storage it writes back into.
-struct DurableStack {
-  std::unique_ptr<DiskStorageManager> disk;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<Wal> wal;
-  std::unique_ptr<kv::KvStore> store;
-};
+// The single durable store: a shard with zero followers over one
+// directory. Its files are the replica's WAL and, after the first
+// checkpoint, its checkpoint image.
+constexpr char kWalFile[] = "shard000_replica00.wal";
+constexpr char kPagesFile[] = "shard000_replica00.pages";
 
-DurableStack OpenStack(const TempDir& dir, int partitions,
-                       size_t pool_pages) {
-  DurableStack stack;
-  auto disk = DiskStorageManager::Open(dir.File("pages"));
-  EXPECT_TRUE(disk.ok()) << disk.status().ToString();
-  stack.disk = std::move(disk).value();
-  stack.pool = std::make_unique<BufferPool>(stack.disk.get(), pool_pages);
-  auto wal = Wal::Open(dir.File("wal"));
-  EXPECT_TRUE(wal.ok()) << wal.status().ToString();
-  stack.wal = std::move(wal).value();
-  stack.store = std::make_unique<kv::KvStore>(partitions);
-  const Status attached =
-      stack.store->AttachDurability(stack.pool.get(), stack.wal.get());
-  EXPECT_TRUE(attached.ok()) << attached.ToString();
-  return stack;
+std::unique_ptr<repl::ReplicatedKvStore> OpenStore(const TempDir& dir,
+                                                   int partitions) {
+  repl::ReplOptions opt;
+  opt.followers_per_shard = 0;
+  opt.write_quorum = 0;
+  opt.kv_partitions = partitions;
+  opt.data_dir = dir.path();
+  auto store = repl::ReplicatedKvStore::Open(opt);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return std::move(store).value();
+}
+
+// The one replica's recovery counters.
+repl::ReplicaStatus Replica0(const repl::ReplicatedKvStore& store) {
+  return store.StatusSnapshot()[0].replicas[0];
 }
 
 // Every test runs against a clean process-wide fault injector.
@@ -465,6 +462,50 @@ TEST_F(StorageRecoveryTest, WalCheckpointBoundsReplay) {
   }
 }
 
+TEST_F(StorageRecoveryTest, WalGroupFsyncCoversConcurrentSyncRequests) {
+  // Concurrent Sync() callers elect one leader whose fsync covers every
+  // byte appended before it started: fsyncs never exceed requests, and
+  // every synced record survives a reopen.
+  TempDir dir;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 64;
+  {
+    auto opened = Wal::Open(dir.File("wal"));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto wal = std::move(opened).value();
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&wal, t]() {
+        for (int i = 0; i < kPerThread; ++i) {
+          ASSERT_TRUE(wal->Append(WalRecordType::kPut,
+                                  static_cast<uint64_t>(t + 1),
+                                  StrFormat("g|%d|%03d", t, i), "v")
+                          .ok());
+          ASSERT_TRUE(wal->Sync().ok());
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    const storage::WalStats stats = wal->stats();
+    EXPECT_EQ(stats.sync_requests,
+              static_cast<uint64_t>(kThreads * kPerThread));
+    EXPECT_GE(stats.sync_requests, stats.syncs)
+        << "group commit: fsyncs must never exceed sync requests";
+    EXPECT_GE(stats.syncs, 1u);
+  }
+  auto reopened = Wal::Open(dir.File("wal"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  size_t n = 0;
+  ASSERT_TRUE(reopened.value()
+                  ->Replay([&](const WalRecord&) {
+                    ++n;
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(n, static_cast<size_t>(kThreads * kPerThread));
+}
+
 TEST_F(StorageRecoveryTest, WalValidatePrefixDecodesLongestCleanPrefix) {
   // ValidatePrefix is the single frame scanner shared by Open()'s
   // torn-tail truncation, Replay(), and replication followers verifying
@@ -582,54 +623,83 @@ TEST_F(StorageRecoveryTest, WalOpenTruncatesFromCorruptMidStreamFrame) {
 TEST_F(StorageRecoveryTest, KvRecoversWalOnlyStateAcrossReopen) {
   TempDir dir;
   {
-    DurableStack stack = OpenStack(dir, 4, 32);
+    auto store = OpenStore(dir, 4);
     for (int i = 0; i < 20; ++i) {
       ASSERT_TRUE(
-          stack.store->Put(StrFormat("w|%03d", i), StrFormat("val-%d", i))
+          store->Put(StrFormat("w|%03d", i), StrFormat("val-%d", i))
               .ok());
     }
-    ASSERT_TRUE(stack.store->Delete("w|003").ok());
+    ASSERT_TRUE(store->Delete("w|003").ok());
   }
-  DurableStack stack = OpenStack(dir, 4, 32);
-  EXPECT_EQ(stack.store->Size(), 19u);
-  auto v = stack.store->Get("w|007");
+  auto store = OpenStore(dir, 4);
+  EXPECT_EQ(store->Size(), 19u);
+  auto v = store->Get("w|007");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value(), "val-7");
-  EXPECT_FALSE(stack.store->Get("w|003").ok());
-  const auto dstats = stack.store->durability_stats();
-  EXPECT_EQ(dstats.recovered_txns, 21u);  // 20 puts + 1 delete
-  EXPECT_EQ(dstats.recovered_rows, 0u);   // no checkpoint image yet
+  EXPECT_FALSE(store->Get("w|003").ok());
+  const repl::ReplicaStatus replica = Replica0(*store);
+  EXPECT_EQ(replica.recovered_txns, 21u);  // 20 puts + 1 delete
+  EXPECT_EQ(replica.recovered_rows, 0u);   // no checkpoint image yet
+  EXPECT_EQ(replica.checkpoint_lsn, 0u);
 }
 
 TEST_F(StorageRecoveryTest, KvRecoversCheckpointImagePlusWalSuffix) {
   TempDir dir;
   {
-    DurableStack stack = OpenStack(dir, 4, 32);
+    auto store = OpenStore(dir, 4);
     for (int i = 0; i < 12; ++i) {
       ASSERT_TRUE(
-          stack.store->Put(StrFormat("c|%03d", i), StrFormat("img-%d", i))
+          store->Put(StrFormat("c|%03d", i), StrFormat("img-%d", i))
               .ok());
     }
-    ASSERT_TRUE(stack.store->Checkpoint().ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
     for (int i = 12; i < 18; ++i) {
       ASSERT_TRUE(
-          stack.store->Put(StrFormat("c|%03d", i), StrFormat("wal-%d", i))
+          store->Put(StrFormat("c|%03d", i), StrFormat("wal-%d", i))
               .ok());
     }
-    ASSERT_TRUE(stack.store->Put("c|002", "overwritten").ok());
+    ASSERT_TRUE(store->Put("c|002", "overwritten").ok());
   }
-  DurableStack stack = OpenStack(dir, 4, 32);
-  EXPECT_EQ(stack.store->Size(), 18u);
-  const auto dstats = stack.store->durability_stats();
-  EXPECT_EQ(dstats.recovered_rows, 12u);  // checkpoint image
-  EXPECT_EQ(dstats.recovered_txns, 7u);   // WAL suffix after the image
-  auto img = stack.store->Get("c|005");
-  auto suffix = stack.store->Get("c|015");
-  auto overwritten = stack.store->Get("c|002");
+  auto store = OpenStore(dir, 4);
+  EXPECT_EQ(store->Size(), 18u);
+  const repl::ReplicaStatus replica = Replica0(*store);
+  EXPECT_EQ(replica.recovered_rows, 12u);  // checkpoint image
+  EXPECT_EQ(replica.recovered_txns, 7u);   // WAL suffix after the image
+  EXPECT_EQ(replica.checkpoint_lsn, 24u);  // 12 puts, two records each
+  auto img = store->Get("c|005");
+  auto suffix = store->Get("c|015");
+  auto overwritten = store->Get("c|002");
   ASSERT_TRUE(img.ok() && suffix.ok() && overwritten.ok());
   EXPECT_EQ(img.value(), "img-5");
   EXPECT_EQ(suffix.value(), "wal-15");
   EXPECT_EQ(overwritten.value(), "overwritten");
+}
+
+TEST_F(StorageRecoveryTest, RefusedWriteStaysInvisibleAcrossTwoRestarts) {
+  // A commit whose marker append fails leaves its data record in the WAL
+  // without a marker. Replay groups records by transaction id, so the id
+  // counter must resume past every id in the WAL: otherwise a later
+  // session's transaction with the same id would commit that record.
+  TempDir dir;
+  {
+    auto store = OpenStore(dir, 4);
+    ASSERT_TRUE(store->Put("a", "1").ok());
+    FaultRule rule;
+    rule.fail_calls = {2};  // b's commit marker; its data record lands
+    FaultInjector::Default().Program("storage.wal.append", rule);
+    EXPECT_TRUE(store->Put("b", "refused").IsUnavailable());
+    FaultInjector::Default().Reset();
+  }
+  {
+    auto store = OpenStore(dir, 4);
+    EXPECT_TRUE(store->Get("b").status().IsNotFound());
+    ASSERT_TRUE(store->Put("c", "3").ok());
+    ASSERT_TRUE(store->Put("d", "4").ok());
+  }
+  auto store = OpenStore(dir, 4);
+  EXPECT_TRUE(store->Get("b").status().IsNotFound())
+      << "the refused write came back after the second restart";
+  EXPECT_EQ(store->Size(), 3u);
 }
 
 // --- Chaos: crash mid-commit at fixed seeds ----------------------------------
@@ -656,13 +726,13 @@ CrashRunResult RunCrashScenario(const char* point, uint64_t fail_call,
   rule.fail_calls = {fail_call};
   FaultInjector::Default().Program(point, rule);
   {
-    DurableStack stack = OpenStack(dir, 4, 32);
+    auto store = OpenStore(dir, 4);
     for (int i = 0; i < 25; ++i) {
       if (i == 12) {
-        out.checkpoint_ok = stack.store->Checkpoint().ok();
+        out.checkpoint_ok = store->Checkpoint().ok();
       }
       const std::string key = StrFormat("x|%03d", i);
-      const Status put = stack.store->Put(key, StrFormat("v-%d", i));
+      const Status put = store->Put(key, StrFormat("v-%d", i));
       (put.ok() ? out.acked : out.failed).push_back(key);
     }
     EXPECT_GE(FaultInjector::Default().triggered(point), 1u)
@@ -670,14 +740,14 @@ CrashRunResult RunCrashScenario(const char* point, uint64_t fail_call,
   }
   // Reboot: the injector is cleared (the "machine" came back healthy).
   FaultInjector::Default().Reset();
-  DurableStack stack = OpenStack(dir, 4, 32);
-  out.recovered_hash = StoreContentHash(*stack.store);
-  out.recovered_size = stack.store->Size();
+  auto store = OpenStore(dir, 4);
+  out.recovered_hash = StoreContentHash(*store);
+  out.recovered_size = store->Size();
 
   // Durability law, both directions: every acknowledged write is present
   // with its exact value; no unacknowledged write is visible.
   for (const std::string& key : out.acked) {
-    auto v = stack.store->Get(key);
+    auto v = store->Get(key);
     EXPECT_TRUE(v.ok()) << point << ": acked key " << key
                         << " lost after recovery";
     if (v.ok()) {
@@ -687,7 +757,7 @@ CrashRunResult RunCrashScenario(const char* point, uint64_t fail_call,
     }
   }
   for (const std::string& key : out.failed) {
-    EXPECT_FALSE(stack.store->Get(key).ok())
+    EXPECT_FALSE(store->Get(key).ok())
         << point << ": unacknowledged key " << key
         << " became visible after recovery";
   }
@@ -776,40 +846,40 @@ TEST_F(StorageRecoveryTest, FreeListCrashWindowNeverDoubleAllocatesLivePages) {
   const std::string pad_a(512, 'a');
   const std::string pad_b(512, 'b');
   {
-    DurableStack stack = OpenStack(dir, 4, 16);
+    auto store = OpenStore(dir, 4);
     for (int i = 0; i < 60; ++i) {
-      ASSERT_TRUE(stack.store
+      ASSERT_TRUE(store
                       ->Put(StrFormat("fl|%03d", i),
                             StrFormat("v1-%d-", i) + pad_a)
                       .ok());
     }
-    ASSERT_TRUE(stack.store->Checkpoint().ok());  // chain A
+    ASSERT_TRUE(store->Checkpoint().ok());  // chain A
     for (int i = 0; i < 60; ++i) {
-      ASSERT_TRUE(stack.store
+      ASSERT_TRUE(store
                       ->Put(StrFormat("fl|%03d", i),
                             StrFormat("v2-%d-", i) + pad_b)
                       .ok());
     }
-    ASSERT_TRUE(stack.store->Checkpoint().ok());  // chain B; frees A
+    ASSERT_TRUE(store->Checkpoint().ok());  // chain B; frees A
     // Shrink the dataset so the next chain needs fewer pages than the
     // frees release — the durable free list ends up genuinely non-empty.
     for (int i = 10; i < 60; ++i) {
-      ASSERT_TRUE(stack.store->Delete(StrFormat("fl|%03d", i)).ok());
+      ASSERT_TRUE(store->Delete(StrFormat("fl|%03d", i)).ok());
     }
-    ASSERT_TRUE(stack.store->Checkpoint().ok());  // chain C; frees B
+    ASSERT_TRUE(store->Checkpoint().ok());  // chain C; frees B
     // Crash image, taken while the stack is still live: the files hold
     // exactly what chain C's WriteMeta flip made durable — chain B's
     // FreePage calls have not reached the superblock yet.
-    ASSERT_TRUE(std::filesystem::copy_file(dir.File("pages"),
-                                           crash.File("pages")));
-    ASSERT_TRUE(
-        std::filesystem::copy_file(dir.File("wal"), crash.File("wal")));
+    ASSERT_TRUE(std::filesystem::copy_file(dir.File(kPagesFile),
+                                           crash.File(kPagesFile)));
+    ASSERT_TRUE(std::filesystem::copy_file(dir.File(kWalFile),
+                                           crash.File(kWalFile)));
   }
   // Adversarial allocator on the crash image: take every page the
   // recovered free list will give and destroy its contents.
   uint32_t drained = 0;
   {
-    auto opened = DiskStorageManager::Open(crash.File("pages"));
+    auto opened = DiskStorageManager::Open(crash.File(kPagesFile));
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     auto disk = std::move(opened).value();
     ASSERT_GT(disk->free_pages(), 0u)
@@ -827,10 +897,10 @@ TEST_F(StorageRecoveryTest, FreeListCrashWindowNeverDoubleAllocatesLivePages) {
   EXPECT_GT(drained, 0u);
   // If any freed-but-still-referenced page had been handed out above,
   // recovery would now read sentinel garbage and fail its CRC check.
-  DurableStack stack = OpenStack(crash, 4, 16);
-  EXPECT_EQ(stack.store->Size(), 10u);
+  auto store = OpenStore(crash, 4);
+  EXPECT_EQ(store->Size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    auto v = stack.store->Get(StrFormat("fl|%03d", i));
+    auto v = store->Get(StrFormat("fl|%03d", i));
     ASSERT_TRUE(v.ok()) << "row fl|" << i << " lost to a double allocation";
     EXPECT_EQ(v.value(), StrFormat("v2-%d-", i) + pad_b);
   }
@@ -842,15 +912,14 @@ TEST_F(StorageRecoveryTest, TortureTenThousandOpsAgainstModel) {
   TempDir dir;
   constexpr size_t kTargetOps = 10000;
   constexpr int kPartitions = 4;
-  constexpr size_t kPoolPages = 24;  // small: constant eviction churn
   constexpr uint64_t kKeySpace = 400;
 
   Rng rng(20240807);
   std::map<std::string, std::string> model;
-  DurableStack stack = OpenStack(dir, kPartitions, kPoolPages);
+  auto store = OpenStore(dir, kPartitions);
 
   auto check_against_model = [&]() {
-    const auto rows = stack.store->ScanPrefix("t|");
+    const auto rows = store->ScanPrefix("t|");
     ASSERT_EQ(rows.size(), model.size());
     auto it = model.begin();
     for (size_t i = 0; i < rows.size(); ++i, ++it) {
@@ -867,7 +936,7 @@ TEST_F(StorageRecoveryTest, TortureTenThousandOpsAgainstModel) {
   size_t next_reopen = 2500;
   while (ops < kTargetOps) {
     // One transaction of 1-4 ops, mirrored into the model on commit.
-    auto txn = stack.store->Begin();
+    auto txn = store->Begin();
     std::map<std::string, std::optional<std::string>> staged;
     const uint64_t nops = 1 + rng.Uniform(4);
     for (uint64_t j = 0; j < nops; ++j) {
@@ -894,35 +963,29 @@ TEST_F(StorageRecoveryTest, TortureTenThousandOpsAgainstModel) {
       }
     }
 
-    if (txns % 256 == 0) {
-      const Status inv = stack.pool->CheckInvariants();
-      ASSERT_TRUE(inv.ok()) << inv.ToString();
-    }
     if (ops >= next_checkpoint) {
       next_checkpoint += 1500;
       ++checkpoints;
-      const Status ck = stack.store->Checkpoint();
+      const Status ck = store->Checkpoint();
       ASSERT_TRUE(ck.ok()) << ck.ToString();
-      const Status inv = stack.pool->CheckInvariants();
-      ASSERT_TRUE(inv.ok()) << inv.ToString();
     }
     if (ops >= next_reopen) {
       next_reopen += 2500;
       ++reopens;
-      stack = OpenStack(dir, kPartitions, kPoolPages);
+      store.reset();
+      store = OpenStore(dir, kPartitions);
       check_against_model();
-      const Status inv = stack.pool->CheckInvariants();
-      ASSERT_TRUE(inv.ok()) << inv.ToString();
     }
   }
   // Final restart + full model equivalence.
-  stack = OpenStack(dir, kPartitions, kPoolPages);
+  store.reset();
+  store = OpenStore(dir, kPartitions);
   check_against_model();
   EXPECT_GE(ops, kTargetOps);
   EXPECT_GE(checkpoints, 5u);
   EXPECT_GE(reopens, 3u);
-  // The tiny pool really was thrashed: evictions prove the paged path ran.
-  EXPECT_GT(stack.pool->stats().misses, 0u);
+  // The last reopen loaded a checkpoint image: the paged path ran.
+  EXPECT_GT(Replica0(*store).recovered_rows, 0u);
 }
 
 // --- Golden on-disk format ----------------------------------------------------
@@ -931,20 +994,20 @@ TEST_F(StorageRecoveryTest, TortureTenThousandOpsAgainstModel) {
 // to the page layout, superblock, page-chain encoding or WAL framing
 // shows up as a diff against tests/data/e18_golden_{pages,wal}.bin.
 void RunGoldenScript(const TempDir& dir) {
-  DurableStack stack = OpenStack(dir, 4, 16);
+  auto store = OpenStore(dir, 4);
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(stack.store
+    ASSERT_TRUE(store
                     ->Put(StrFormat("g|%03d", i), StrFormat("golden-%d", i))
                     .ok());
   }
-  ASSERT_TRUE(stack.store->Checkpoint().ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
   for (int i = 16; i < 24; ++i) {
-    ASSERT_TRUE(stack.store
+    ASSERT_TRUE(store
                     ->Put(StrFormat("g|%03d", i), StrFormat("tail-%d", i))
                     .ok());
   }
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(stack.store->Delete(StrFormat("g|%03d", i)).ok());
+    ASSERT_TRUE(store->Delete(StrFormat("g|%03d", i)).ok());
   }
 }
 
@@ -959,8 +1022,8 @@ size_t FirstDiff(const std::string& a, const std::string& b) {
 TEST_F(StorageRecoveryTest, GoldenOnDiskFormatIsBitExact) {
   TempDir dir;
   RunGoldenScript(dir);
-  const std::string pages = ReadFileBytes(dir.File("pages"));
-  const std::string wal = ReadFileBytes(dir.File("wal"));
+  const std::string pages = ReadFileBytes(dir.File(kPagesFile));
+  const std::string wal = ReadFileBytes(dir.File(kWalFile));
 
   const std::string fixture_dir = EEA_TEST_DATA_DIR;
   const std::string pages_fixture = fixture_dir + "/e18_golden_pages.bin";
@@ -1009,9 +1072,9 @@ TEST_F(StorageRecoveryTest, GoldenStateRecoversIdentically) {
   for (int run = 0; run < 2; ++run) {
     TempDir dir;
     RunGoldenScript(dir);
-    DurableStack stack = OpenStack(dir, 4, 16);
-    EXPECT_EQ(stack.store->Size(), 20u);  // 24 puts - 4 deletes
-    hashes[run] = StoreContentHash(*stack.store);
+    auto store = OpenStore(dir, 4);
+    EXPECT_EQ(store->Size(), 20u);  // 24 puts - 4 deletes
+    hashes[run] = StoreContentHash(*store);
   }
   EXPECT_EQ(hashes[0], hashes[1]);
 }
@@ -1097,27 +1160,18 @@ TEST_F(StorageRecoveryTest, FrozenRTreeMatchesMemoryUnderSmallPool) {
 
 TEST_F(StorageRecoveryTest, HopsFsNamespaceSurvivesRestart) {
   TempDir dir;
-  dfs::HopsFsCluster::Options opts;
-  opts.kv_partitions = 4;
+  const dfs::HopsFsCluster::Options opts;
   {
-    auto disk = DiskStorageManager::Open(dir.File("pages"));
-    ASSERT_TRUE(disk.ok());
-    BufferPool pool(disk.value().get(), 32);
-    auto wal = Wal::Open(dir.File("wal"));
-    ASSERT_TRUE(wal.ok());
-    dfs::HopsFsCluster cluster(opts, &pool, wal.value().get());
+    auto store = OpenStore(dir, 4);
+    dfs::HopsFsCluster cluster(opts, store.get(), 1);
     dfs::HopsFsNameNode nn(&cluster);
     ASSERT_TRUE(nn.Mkdir("/data").ok());
     ASSERT_TRUE(nn.Create("/data/a.txt", 5, "hello").ok());
     ASSERT_TRUE(nn.Create("/data/b.txt", 3, "abc").ok());
     ASSERT_TRUE(nn.Mkdir("/data/sub").ok());
   }
-  auto disk = DiskStorageManager::Open(dir.File("pages"));
-  ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk.value().get(), 32);
-  auto wal = Wal::Open(dir.File("wal"));
-  ASSERT_TRUE(wal.ok());
-  dfs::HopsFsCluster cluster(opts, &pool, wal.value().get());
+  auto store = OpenStore(dir, 4);
+  dfs::HopsFsCluster cluster(opts, store.get(), 1);
   dfs::HopsFsNameNode nn(&cluster);
   auto listed = nn.List("/data");
   ASSERT_TRUE(listed.ok()) << listed.status().ToString();
@@ -1142,34 +1196,33 @@ TEST_F(StorageRecoveryTest, ConcurrentDurableCommitsAllSurviveRestart) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 64;
   {
-    DurableStack stack = OpenStack(dir, 8, 32);
+    auto store = OpenStore(dir, 8);
     std::vector<std::thread> workers;
     workers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&stack, t]() {
+      workers.emplace_back([&store, t]() {
         for (int i = 0; i < kPerThread; ++i) {
-          const Status put = stack.store->Put(
+          const Status put = store->Put(
               StrFormat("mt|%d|%03d", t, i), StrFormat("v-%d-%d", t, i));
           ASSERT_TRUE(put.ok()) << put.ToString();
         }
       });
     }
-    // Checkpoints race the writers: the exclusive commit lock must cut
-    // between whole transactions, never through one.
+    // Checkpoints race the writers: the shard mutex must cut between
+    // whole transactions, never through one, and never between an acked
+    // commit and its apply to the leader's store.
     for (int c = 0; c < 3; ++c) {
-      const Status ck = stack.store->Checkpoint();
+      const Status ck = store->Checkpoint();
       ASSERT_TRUE(ck.ok()) << ck.ToString();
     }
     for (std::thread& w : workers) w.join();
-    EXPECT_GE(stack.wal->stats().sync_requests, stack.wal->stats().syncs)
-        << "group commit: fsyncs must never exceed sync requests";
   }
-  DurableStack stack = OpenStack(dir, 8, 32);
-  EXPECT_EQ(stack.store->Size(),
+  auto store = OpenStore(dir, 8);
+  EXPECT_EQ(store->Size(),
             static_cast<size_t>(kThreads * kPerThread));
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      auto v = stack.store->Get(StrFormat("mt|%d|%03d", t, i));
+      auto v = store->Get(StrFormat("mt|%d|%03d", t, i));
       ASSERT_TRUE(v.ok()) << "lost mt|" << t << "|" << i;
       EXPECT_EQ(v.value(), StrFormat("v-%d-%d", t, i));
     }
@@ -1184,18 +1237,13 @@ TEST_F(StorageRecoveryTest, ConcurrentHopsFsCreatesResumeIdsAfterMidRunCrash) {
   // still there, new creates from four threads all succeed, and a full
   // sweep of the inode table finds no id used twice.
   TempDir dir;
-  dfs::HopsFsCluster::Options opts;
-  opts.kv_partitions = 4;
+  const dfs::HopsFsCluster::Options opts;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 40;
   std::vector<std::vector<std::string>> acked(kThreads);
   {
-    auto disk = DiskStorageManager::Open(dir.File("pages"));
-    ASSERT_TRUE(disk.ok());
-    BufferPool pool(disk.value().get(), 32);
-    auto wal = Wal::Open(dir.File("wal"));
-    ASSERT_TRUE(wal.ok());
-    dfs::HopsFsCluster cluster(opts, &pool, wal.value().get());
+    auto store = OpenStore(dir, 4);
+    dfs::HopsFsCluster cluster(opts, store.get(), 1);
     FaultRule rule;
     rule.fail_calls = {12};
     FaultInjector::Default().Program("storage.wal.fsync", rule);
@@ -1217,12 +1265,8 @@ TEST_F(StorageRecoveryTest, ConcurrentHopsFsCreatesResumeIdsAfterMidRunCrash) {
   FaultInjector::Default().Reset();
 
   // Restart over the same files; the "machine" came back healthy.
-  auto disk = DiskStorageManager::Open(dir.File("pages"));
-  ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk.value().get(), 32);
-  auto wal = Wal::Open(dir.File("wal"));
-  ASSERT_TRUE(wal.ok());
-  dfs::HopsFsCluster cluster(opts, &pool, wal.value().get());
+  auto store = OpenStore(dir, 4);
+  dfs::HopsFsCluster cluster(opts, store.get(), 1);
   dfs::HopsFsNameNode nn(&cluster);
   size_t acked_total = 0;
   for (int t = 0; t < kThreads; ++t) {
