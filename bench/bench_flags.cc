@@ -81,10 +81,11 @@ std::string BenchUsage(const char* argv0) {
          "repetition\n"
          "  --metrics_out=PATH        metrics snapshot destination\n"
          "  --trace_out=PATH          record spans, write Chrome trace "
-         "JSON\n"
+         "JSON and flame-tree text\n"
          "  --threads=N               override worker threads for "
          "parallel rows (N >= 1)\n"
-         "  --slowlog=N               keep the N worst requests (N >= 1)\n"
+         "  --slowlog=N               keep the N worst requests (N >= 1), "
+         "write their plans as text\n"
          "  --slowlog_threshold_us=T  only log requests >= T us (T >= "
          "0)\n"
          "  --fault_spec=SPEC         program the fault injector "

@@ -7,7 +7,9 @@
 //                               <binary>.metrics.json next to argv[0])
 //   --trace_out=<path>          enable the span EventRecorder and write a
 //                               Chrome trace_event JSON (load it in
-//                               chrome://tracing or Perfetto)
+//                               chrome://tracing or Perfetto), plus its
+//                               flame trees as text next to it (".json"
+//                               -> ".txt")
 //   --threads=N                 worker-thread override for the parallel
 //                               query paths; N >= 1. Benchmark rows whose
 //                               `threads` argument is > 1 use this value
@@ -16,7 +18,9 @@
 //                               survives. Recorded in the metrics JSON
 //                               snapshot ("config": {"threads": N}).
 //   --slowlog=N                 enable the slow-query log, keeping the N
-//                               worst requests; N >= 1
+//                               worst requests; N >= 1. Their plan tables,
+//                               worst first, go next to the snapshot
+//                               (".json" -> ".slow_queries.txt")
 //   --slowlog_threshold_us=T    only log requests at or above T
 //                               microseconds (default 0 = everything)
 //   --fault_spec=SPEC           program the process-wide FaultInjector

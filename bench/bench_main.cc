@@ -2,11 +2,17 @@
 //
 // Extra flags, stripped (and validated) before google-benchmark sees
 // argv — see bench_flags.h for the list. After the benchmarks run, the
-// process-wide MetricsRegistry, span Tracer and slow-query log are dumped
-// as one JSON document so every bench run leaves a machine-diffable
-// record of what the instrumented subsystems did (see README
-// "Observability" for the schema). With --trace_out= a Chrome
-// trace_event JSON of every recorded request span is written as well.
+// process-wide MetricsRegistry and slow-query log are dumped as one JSON
+// document so every bench run leaves a machine-diffable record of what
+// the instrumented subsystems did (see README "Observability" for the
+// schema). Human-readable copies come from the renderers the admin
+// server uses:
+//   --trace_out=X.json  Chrome trace_event JSON of every recorded request
+//                       span, plus X.txt, its flame trees (/tracez)
+//   --slowlog=N         the snapshot's "slow_queries", plus
+//                       <metrics_out minus .json>.slow_queries.txt, each
+//                       logged profile's plan table, worst first
+//                       (/slowqueryz)
 
 #include <benchmark/benchmark.h>
 
@@ -36,6 +42,12 @@ bool WriteFile(const std::string& path, const std::string& body) {
   }
   out << body;
   return static_cast<bool>(out);
+}
+
+// `path` without a trailing ".json", plus `suffix`.
+std::string Beside(const std::string& path, const std::string& suffix) {
+  return (path.ends_with(".json") ? path.substr(0, path.size() - 5) : path) +
+         suffix;
 }
 
 }  // namespace
@@ -135,18 +147,32 @@ int main(int argc, char** argv) {
       exearth::geo::simd::ActiveVariantName() +
       "\"},\n\"metrics\": " +
       exearth::common::MetricsRegistry::Default().ToJson() +
-      ",\n\"trace\": " + exearth::common::Tracer::Default().ToJson() +
       ",\n\"slow_queries\": " +
       exearth::common::SlowQueryLog::Default().ToJson() + "\n}\n";
   if (!WriteFile(flags.metrics_out, json)) return 1;
   std::fprintf(stderr, "metrics snapshot: %s\n", flags.metrics_out.c_str());
+  if (flags.slowlog > 0) {
+    std::string text;
+    for (const auto& profile :
+         exearth::common::SlowQueryLog::Default().Snapshot()) {
+      text += profile.ToText() + "\n";
+    }
+    const std::string path = Beside(flags.metrics_out, ".slow_queries.txt");
+    if (!WriteFile(path, text)) return 1;
+    std::fprintf(stderr, "slow queries: %s\n", path.c_str());
+  }
 
   if (!flags.trace_out.empty()) {
-    const std::string trace_json =
-        exearth::common::EventRecorder::Default().ToChromeTraceJson();
-    if (!WriteFile(flags.trace_out, trace_json)) return 1;
-    std::fprintf(stderr, "chrome trace: %s (load in chrome://tracing)\n",
-                 flags.trace_out.c_str());
+    const auto& recorder = exearth::common::EventRecorder::Default();
+    const std::string flame_path = Beside(flags.trace_out, ".txt");
+    if (!WriteFile(flags.trace_out, recorder.ToChromeTraceJson()) ||
+        !WriteFile(flame_path, recorder.ToFlameTreeText())) {
+      return 1;
+    }
+    std::fprintf(stderr,
+                 "chrome trace: %s (load in chrome://tracing), flame trees: "
+                 "%s\n",
+                 flags.trace_out.c_str(), flame_path.c_str());
   }
   return 0;
 }

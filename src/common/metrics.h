@@ -19,7 +19,6 @@
 #define EXEARTH_COMMON_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -154,26 +153,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-/// RAII timer that records elapsed wall-clock microseconds into a
-/// histogram on destruction.
-class ScopedLatencyTimer {
- public:
-  explicit ScopedLatencyTimer(Histogram* hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
-  ~ScopedLatencyTimer() {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    hist_->Observe(static_cast<double>(ns) / 1000.0);
-  }
-
- private:
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Escapes a string for inclusion in a JSON string literal (quotes not

@@ -1,6 +1,8 @@
 #include "common/trace.h"
 
 #include <algorithm>
+#include <chrono>
+#include <map>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -8,12 +10,6 @@
 namespace exearth::common {
 
 namespace trace_internal {
-
-ThreadTraceState::ThreadTraceState(Tracer* t) : tracer(t) {
-  tracer->RegisterThread(this);
-}
-
-ThreadTraceState::~ThreadTraceState() { tracer->RetireThread(this); }
 
 /// Bounded per-thread event buffer. All access (including the owning
 /// thread's appends) goes through `mu` so exports may run concurrently
@@ -30,8 +26,6 @@ struct EventRing {
 }  // namespace trace_internal
 
 using trace_internal::EventRing;
-using trace_internal::TraceNode;
-using trace_internal::ThreadTraceState;
 
 namespace {
 
@@ -57,102 +51,6 @@ ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx)
 }
 
 ScopedTraceContext::~ScopedTraceContext() { g_trace_context = saved_; }
-
-Tracer& Tracer::Default() {
-  static Tracer* tracer = new Tracer();  // never freed: threads may outlive
-  return *tracer;
-}
-
-void Tracer::RegisterThread(ThreadTraceState* state) {
-  std::lock_guard<std::mutex> lock(mu_);
-  live_.insert(state);
-}
-
-namespace {
-
-// Folds `src`'s counts and children into the tree under `dst`; caller
-// holds the tracer mutex.
-void MergeTree(const TraceNode& src, TraceNode* dst) {
-  dst->count.fetch_add(src.count.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  dst->total_ns.fetch_add(src.total_ns.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  for (const auto& [name, child] : src.children) {
-    auto [it, inserted] = dst->children.emplace(name, nullptr);
-    if (inserted) it->second = std::make_unique<TraceNode>(name);
-    MergeTree(*child, it->second.get());
-  }
-}
-
-std::string NodeToJson(const TraceNode& node, int indent) {
-  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  std::string out = StrFormat(
-      "%s{\"name\": \"%s\", \"count\": %llu, \"total_us\": %.3f",
-      pad.c_str(), JsonEscape(node.name).c_str(),
-      static_cast<unsigned long long>(
-          node.count.load(std::memory_order_relaxed)),
-      static_cast<double>(node.total_ns.load(std::memory_order_relaxed)) /
-          1000.0);
-  if (!node.children.empty()) {
-    out += ", \"children\": [\n";
-    bool first = true;
-    for (const auto& [name, child] : node.children) {
-      if (!first) out += ",\n";
-      out += NodeToJson(*child, indent + 1);
-      first = false;
-    }
-    out += "\n" + pad + "]";
-  }
-  out += "}";
-  return out;
-}
-
-void ZeroTree(TraceNode* node) {
-  node->count.store(0, std::memory_order_relaxed);
-  node->total_ns.store(0, std::memory_order_relaxed);
-  for (auto& [name, child] : node->children) ZeroTree(child.get());
-}
-
-}  // namespace
-
-void Tracer::RetireThread(ThreadTraceState* state) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MergeTree(state->root, &retired_);
-  live_.erase(state);
-}
-
-TraceNode* Tracer::Child(TraceNode* parent, const char* name) {
-  // The owning thread is the only structural mutator of its tree, so a
-  // lock-free lookup is safe; inserts take the mutex to serialize against
-  // export traversals.
-  auto it = parent->children.find(name);
-  if (it != parent->children.end()) return it->second.get();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it2, inserted] = parent->children.emplace(name, nullptr);
-  if (inserted) it2->second = std::make_unique<TraceNode>(name);
-  return it2->second.get();
-}
-
-std::string Tracer::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Merge retired + live trees into one aggregate keyed by path.
-  TraceNode merged("root");
-  MergeTree(retired_, &merged);
-  for (const ThreadTraceState* state : live_) {
-    MergeTree(state->root, &merged);
-  }
-  return NodeToJson(merged, 0);
-}
-
-void Tracer::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  retired_.children.clear();
-  retired_.count.store(0, std::memory_order_relaxed);
-  retired_.total_ns.store(0, std::memory_order_relaxed);
-  // Live threads hold pointers into their trees, so zero in place rather
-  // than deleting nodes.
-  for (ThreadTraceState* state : live_) ZeroTree(&state->root);
-}
 
 // --- EventRecorder -----------------------------------------------------
 
@@ -349,30 +247,23 @@ std::string EventRecorder::ToFlameTreeText(uint64_t only_trace_id) const {
 
 // --- Spans -------------------------------------------------------------
 
-TraceSpan::TraceSpan(const char* name) {
-  thread_local ThreadTraceState state(&Tracer::Default());
-  state_ = &state;
-  parent_ = state_->current;
-  node_ = state_->tracer->Child(parent_, name);
-  state_->current = node_;
+TraceSpan::TraceSpan(const char* name, Histogram* latency_us)
+    : latency_us_(latency_us) {
   if (EventRecorder::Default().enabled() && g_trace_context.active()) {
     name_ = name;
     parent_span_id_ = g_trace_context.span_id;
     span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
     g_trace_context.span_id = span_id_;
   }
-  start_ = std::chrono::steady_clock::now();
+  if (latency_us_ != nullptr || span_id_ != 0) start_ns_ = NowNs();
 }
 
 TraceSpan::~TraceSpan() {
-  const auto end = std::chrono::steady_clock::now();
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
-          .count();
-  node_->total_ns.fetch_add(static_cast<uint64_t>(ns),
-                            std::memory_order_relaxed);
-  node_->count.fetch_add(1, std::memory_order_relaxed);
-  state_->current = parent_;
+  if (latency_us_ == nullptr && span_id_ == 0) return;
+  const uint64_t end_ns = NowNs();
+  if (latency_us_ != nullptr) {
+    latency_us_->Observe(static_cast<double>(end_ns - start_ns_) / 1000.0);
+  }
   if (span_id_ != 0) {
     g_trace_context.span_id = parent_span_id_;
     SpanEvent ev;
@@ -380,11 +271,8 @@ TraceSpan::~TraceSpan() {
     ev.trace_id = g_trace_context.trace_id;
     ev.span_id = span_id_;
     ev.parent_span_id = parent_span_id_;
-    ev.end_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            end.time_since_epoch())
-            .count());
-    ev.start_ns = ev.end_ns - static_cast<uint64_t>(ns);
+    ev.start_ns = start_ns_;
+    ev.end_ns = end_ns;
     EventRecorder::Default().Record(ev);
   }
 }

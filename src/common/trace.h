@@ -1,116 +1,47 @@
-// RAII trace spans recording nested timing trees, plus request-scoped
-// span events.
+// Request-scoped trace spans, recorded only when someone asks for them.
 //
-// Two collectors share the same instrumentation points:
+// A TraceRequest opens a request's root span and — when
+// EventRecorder::Default() is enabled — installs a TraceContext (trace_id
+// + current span_id) in the thread. Every TraceSpan that runs under an
+// active context records a timestamped SpanEvent, linked to its parent
+// span, into a per-thread ring buffer, so "why was *this* query slow?" is
+// answerable span by span. ThreadPool captures the submitter's context at
+// enqueue, so parallel chunks and fan-out work attach to the originating
+// request. Export as Chrome trace_event JSON (chrome://tracing, Perfetto)
+// or a text flame tree (the /tracez admin endpoint).
 //
-// 1. Aggregate tree (always on). A TraceSpan marks a named scope; nested
-//    spans on the same thread become children of the enclosing span.
-//    Timings are *aggregated by path*: every execution of the same
-//    name-path accumulates into one node (count + total time), so the
-//    tree stays bounded no matter how many times a hot path runs. Trees
-//    from all threads merge by path on export.
+// A span may also own the latency histogram of the interval it marks: it
+// then times its scope, recorded or not, and observes its duration in
+// microseconds into the histogram when the scope ends.
 //
-//      void HandleQuery() {
-//        common::TraceSpan span("strabon.SpatialSelect");
-//        ...
-//        { common::TraceSpan probe("index_probe"); ... }
-//      }
+//   Status HandleQuery() {
+//     common::TraceRequest req("strabon.SpatialSelect", query_latency_us);
+//     ...
+//     { common::TraceSpan probe("strabon.index_probe"); ... }
+//   }
 //
-// 2. Request-scoped events (off by default). A TraceRequest opens a root
-//    span and — when EventRecorder::Default() is enabled — installs a
-//    TraceContext (trace_id + current span_id) in the thread. Every
-//    TraceSpan that runs under an active context additionally records a
-//    timestamped SpanEvent into a per-thread ring buffer, so "why was
-//    *this* query slow?" is answerable span by span. ThreadPool captures
-//    the submitter's context at enqueue, so parallel chunks and fan-out
-//    work attach to the originating request. Export as Chrome
-//    trace_event JSON (chrome://tracing, Perfetto) or a text flame tree.
-//
-// Hot-path cost: two steady_clock reads plus relaxed atomic adds; with
-// the recorder disabled, request-scoped tracing adds one relaxed load
-// per span. The tracer mutex is taken only the first time a thread sees
-// a new path and during export/reset; the per-thread event ring mutex is
+// Hot-path cost: with the recorder off, a span without a histogram costs
+// one relaxed load and reads no clock; a span with one reads the clock
+// twice and observes one sample. The per-thread event ring mutex is
 // uncontended except during export.
 
 #ifndef EXEARTH_COMMON_TRACE_H_
 #define EXEARTH_COMMON_TRACE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace exearth::common {
 
-class Tracer;
+class Histogram;
 
 namespace trace_internal {
-
-/// One aggregated node of the span tree. count/total_ns are written by the
-/// owning thread and read during export, hence atomic.
-struct TraceNode {
-  explicit TraceNode(std::string n) : name(std::move(n)) {}
-  std::string name;
-  std::atomic<uint64_t> count{0};
-  std::atomic<uint64_t> total_ns{0};
-  // Structure mutations (insert) and export traversals are serialized by
-  // the tracer mutex; the owning thread may read lock-free.
-  std::map<std::string, std::unique_ptr<TraceNode>> children;
-};
-
-/// Per-thread span state; registers with the tracer on first span and
-/// merges its tree into the tracer's retired tree at thread exit.
-struct ThreadTraceState {
-  explicit ThreadTraceState(Tracer* tracer);
-  ~ThreadTraceState();
-  Tracer* tracer;
-  TraceNode root{"root"};
-  TraceNode* current = &root;
-};
-
 struct EventRing;
-
 }  // namespace trace_internal
-
-/// Process-wide collector of aggregated span trees.
-class Tracer {
- public:
-  Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// The tracer TraceSpan records into (never destroyed).
-  static Tracer& Default();
-
-  /// JSON tree merged across all threads (live and exited):
-  ///   {"name": "root", "count": N, "total_us": T, "children": [...]}
-  std::string ToJson() const;
-
-  /// Drops all recorded timings. Spans still open on other threads keep
-  /// recording into their (now zeroed) nodes.
-  void Reset();
-
- private:
-  friend struct trace_internal::ThreadTraceState;
-  friend class TraceSpan;
-
-  void RegisterThread(trace_internal::ThreadTraceState* state);
-  void RetireThread(trace_internal::ThreadTraceState* state);
-  /// Finds or creates `parent`'s child named `name` (locks only on create).
-  trace_internal::TraceNode* Child(trace_internal::TraceNode* parent,
-                                   const char* name);
-
-  mutable std::mutex mu_;
-  std::set<trace_internal::ThreadTraceState*> live_;
-  trace_internal::TraceNode retired_{"root"};
-};
-
-// --- Request-scoped tracing --------------------------------------------
 
 /// Identity of the request a thread is currently working for. trace_id 0
 /// means "no active request" (spans then skip event recording entirely).
@@ -206,36 +137,36 @@ class EventRecorder {
   std::vector<std::shared_ptr<trace_internal::EventRing>> rings_;
 };
 
-/// RAII scope: charges its wall-clock lifetime to the node at the current
-/// thread's span path, and — under an active TraceContext with the
-/// recorder enabled — emits a SpanEvent on destruction. `name` must
-/// outlive the span (string literals, or storage owned past the scope).
+/// RAII scope: under an active TraceContext with the recorder enabled,
+/// emits a SpanEvent on destruction; with a `latency_us` histogram, also
+/// observes its lifetime in microseconds into it. `name` must outlive
+/// the span (string literals, or storage owned past the scope).
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name);
+  explicit TraceSpan(const char* name, Histogram* latency_us = nullptr);
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan();
 
  private:
-  trace_internal::ThreadTraceState* state_;
-  trace_internal::TraceNode* parent_;
-  trace_internal::TraceNode* node_;
-  std::chrono::steady_clock::time_point start_;
+  Histogram* const latency_us_;
+  uint64_t start_ns_ = 0;  // read only for a histogram or an event
   // Event recording (only when a context was active at construction).
   const char* name_ = nullptr;
   uint64_t span_id_ = 0;
   uint64_t parent_span_id_ = 0;
 };
 
-/// Entry-point scope: a TraceSpan that also opens a request root. When
-/// the recorder is enabled and no context is active, a fresh trace_id is
-/// allocated and installed for the scope's lifetime (nested TraceRequests
-/// join the enclosing request instead). trace_id() is 0 when recording
-/// is off — callers can stamp it into profiles/log lines either way.
+/// Entry-point scope: a TraceSpan (with its optional latency histogram)
+/// that also opens a request root. When the recorder is enabled and no
+/// context is active, a fresh trace_id is allocated and installed for the
+/// scope's lifetime (nested TraceRequests join the enclosing request
+/// instead). trace_id() is 0 when recording is off — callers can stamp
+/// it into profiles/log lines either way.
 class TraceRequest {
  public:
-  explicit TraceRequest(const char* name) : root_(), span_(name) {}
+  explicit TraceRequest(const char* name, Histogram* latency_us = nullptr)
+      : root_(), span_(name, latency_us) {}
   TraceRequest(const TraceRequest&) = delete;
   TraceRequest& operator=(const TraceRequest&) = delete;
 

@@ -128,23 +128,22 @@ struct DfsMetrics {
 };
 
 // Per-operation instrumentation: one relaxed increment for the op class,
-// one for the total throughput counter, a latency observation and a trace
-// request. Each metadata op is an entry point — when no request is active
-// it starts its own trace, so HopsFS ops called from inside a traced
-// request (e.g. ingestion) nest under it, while standalone ops still get
-// a trace_id of their own. `op_counter` is the call site's cached per-op
-// counter.
+// one for the total throughput counter, and a trace request that observes
+// the op's latency. Each metadata op is an entry point — when no request
+// is active it starts its own trace, so HopsFS ops called from inside a
+// traced request (e.g. ingestion) nest under it, while standalone ops
+// still get a trace_id of their own. `op_counter` is the call site's
+// cached per-op counter.
 class MetadataOpScope {
  public:
   MetadataOpScope(const char* span_name, common::Counter* op_counter)
-      : span_(span_name), timer_(DfsMetrics::Get().op_latency_us) {
+      : span_(span_name, DfsMetrics::Get().op_latency_us) {
     DfsMetrics::Get().ops->Increment();
     op_counter->Increment();
   }
 
  private:
   common::TraceRequest span_;
-  common::ScopedLatencyTimer timer_;
 };
 
 common::Counter* OpCounter(const char* name) {

@@ -237,13 +237,12 @@ Result<std::vector<FedBinding>> FederationEngine::Execute(
     const std::vector<FedFilter>& filters, common::QueryProfile* profile,
     FederationStats* stats) const {
   const FedMetrics& metrics = FedMetrics::Get();
-  common::TraceRequest req("fed.Execute");
+  common::TraceRequest req("fed.Execute", metrics.query_latency_us);
   common::ProfileScope pscope;
   const bool profiling =
       profile != nullptr ||
       (pscope.is_root() && common::SlowQueryLog::Default().enabled());
   const auto query_start = std::chrono::steady_clock::now();
-  common::ScopedLatencyTimer query_timer(metrics.query_latency_us);
   metrics.queries->Increment();
   FederationStats st;
   std::set<std::string> degraded;
@@ -391,8 +390,8 @@ Result<std::vector<FedBinding>> FederationEngine::Execute(
                                     ? rem
                                     : std::min(effective_deadline_us, rem);
       }
-      common::TraceSpan call_span(ep->trace_label());
-      common::ScopedLatencyTimer call_timer(metrics.endpoint_call_latency_us);
+      common::TraceSpan call_span(ep->trace_label(),
+                                  metrics.endpoint_call_latency_us);
       const auto call_start = std::chrono::steady_clock::now();
       auto r = ep->ExecutePattern(pattern);
       Status s = r.ok() ? Status::OK() : r.status();

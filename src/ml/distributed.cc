@@ -148,8 +148,7 @@ DistributedEpochStats DataParallelTrainer::TrainEpoch(raster::Dataset* ds) {
         break;
       }
     }
-    common::TraceSpan step_span("step");
-    common::ScopedLatencyTimer step_wall(metrics.step_wall_us);
+    common::TraceSpan step_span("step", metrics.step_wall_us);
     const size_t end = std::min(n, begin + global_bs);
     optimizer_.set_learning_rate(schedule.LearningRate(global_step_));
     network_->ZeroGrads();

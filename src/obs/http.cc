@@ -112,6 +112,44 @@ void WriteResponse(int fd, const HttpResponse& resp, bool head_only) {
 
 }  // namespace
 
+DecodedRequest DecodeRequestHead(std::string_view head) {
+  DecodedRequest out;
+  // Request line: METHOD SP target SP HTTP/1.x
+  const std::string_view line = head.substr(0, head.find_first_of("\r\n"));
+  const size_t sp1 = line.find(' ');
+  const size_t sp2 = line.rfind(' ');
+  if (sp1 == std::string_view::npos || sp2 == sp1 ||
+      line.compare(sp2 + 1, 5, "HTTP/") != 0) {
+    out.status = 400;
+    return out;
+  }
+  HttpRequest& req = out.request;
+  req.method = line.substr(0, sp1);
+  if (req.method != "GET" && req.method != "HEAD") {
+    out.status = 405;
+    return out;
+  }
+  const std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const size_t qpos = target.find('?');
+  req.path = UrlDecode(target.substr(0, qpos));
+  if (qpos == std::string_view::npos) return out;
+  // Every '&'-separated field, empty ones included.
+  std::string_view q = target.substr(qpos + 1);
+  while (!q.empty()) {
+    const size_t amp = q.find('&');
+    const std::string_view kv = q.substr(0, amp);
+    const size_t eq = kv.find('=');
+    if (eq == std::string_view::npos) {
+      req.query[UrlDecode(kv)] = "";
+    } else {
+      req.query[UrlDecode(kv.substr(0, eq))] = UrlDecode(kv.substr(eq + 1));
+    }
+    if (amp == std::string_view::npos) break;
+    q.remove_prefix(amp + 1);
+  }
+  return out;
+}
+
 HttpServer::HttpServer(HttpServerOptions options)
     : options_(std::move(options)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
@@ -280,55 +318,17 @@ void HttpServer::ServeConnection(int fd) {
                   false);
     return;
   }
-  // Request line: METHOD SP target SP HTTP/1.x
-  const size_t eol = head.find_first_of("\r\n");
-  const std::string line = head.substr(0, eol);
-  const size_t sp1 = line.find(' ');
-  const size_t sp2 = line.rfind(' ');
-  if (sp1 == std::string::npos || sp2 == sp1 ||
-      line.compare(sp2 + 1, 5, "HTTP/") != 0) {
+  const DecodedRequest decoded = DecodeRequestHead(head);
+  if (decoded.status != 200) {
     metrics.errors->Increment();
-    WriteResponse(fd, {400, "text/plain; charset=utf-8",
-                       "malformed request line\n"},
+    WriteResponse(fd, {decoded.status, "text/plain; charset=utf-8",
+                       decoded.status == 405
+                           ? "only GET and HEAD are supported\n"
+                           : "malformed request line\n"},
                   false);
     return;
   }
-  HttpRequest req;
-  req.method = line.substr(0, sp1);
-  std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  if (req.method != "GET" && req.method != "HEAD") {
-    metrics.errors->Increment();
-    WriteResponse(fd, {405, "text/plain; charset=utf-8",
-                       "only GET and HEAD are supported\n"},
-                  req.method == "HEAD");
-    return;
-  }
-  const size_t qpos = target.find('?');
-  req.path = UrlDecode(qpos == std::string::npos ? target
-                                                 : target.substr(0, qpos));
-  if (qpos != std::string::npos) {
-    for (std::string_view kv :
-         // Split keeps empty fields; harmless here.
-         [&] {
-           std::vector<std::string_view> parts;
-           std::string_view q(target);
-           q.remove_prefix(qpos + 1);
-           while (!q.empty()) {
-             const size_t amp = q.find('&');
-             parts.push_back(q.substr(0, amp));
-             if (amp == std::string_view::npos) break;
-             q.remove_prefix(amp + 1);
-           }
-           return parts;
-         }()) {
-      const size_t eq = kv.find('=');
-      if (eq == std::string_view::npos) {
-        req.query[UrlDecode(kv)] = "";
-      } else {
-        req.query[UrlDecode(kv.substr(0, eq))] = UrlDecode(kv.substr(eq + 1));
-      }
-    }
-  }
+  const HttpRequest& req = decoded.request;
   HttpResponse resp;
   auto it = handlers_.find(req.path);
   if (it == handlers_.end()) {

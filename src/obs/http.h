@@ -25,6 +25,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -49,6 +50,21 @@ struct HttpResponse {
   std::string content_type = "text/plain; charset=utf-8";
   std::string body;
 };
+
+/// A decoded request head: the request, or the status of the error to
+/// answer with instead (400 for a malformed request line, 405 for a
+/// method other than GET and HEAD).
+struct DecodedRequest {
+  int status = 200;
+  HttpRequest request;  // meaningful only when status == 200
+};
+
+/// Decodes the request line of a received request head (the bytes up to
+/// its blank line): method, %-decoded path, and the query string's k=v
+/// parameters ('+' is a space; a malformed %xx escape stays literal; a
+/// field without '=' maps to ""; the last of repeated keys wins). Pure,
+/// so hostile heads can be tested without a socket.
+DecodedRequest DecodeRequestHead(std::string_view head);
 
 struct HttpServerOptions {
   /// Port to bind; 0 picks an ephemeral port (see HttpServer::port()).

@@ -530,17 +530,21 @@ class ShardGroup {
       uint64_t old_lsn = 0;
       EEA_RETURN_NOT_OK(DecodeCheckpointMeta(old_meta, &old_head, &old_lsn));
     }
-    // ScanPrefix is globally key-sorted: the image is deterministic.
-    const auto rows = r->store->ScanPrefix("");
-    storage::PageChainWriter writer(r->pool.get(), lsn);
-    EEA_RETURN_NOT_OK(writer.WriteU64(rows.size()));
-    for (const auto& [key, value] : rows) {
-      EEA_RETURN_NOT_OK(writer.WriteString(key));
-      EEA_RETURN_NOT_OK(writer.WriteString(value));
+    storage::PageId head = storage::kInvalidPageId;
+    Status s = WriteImage(r, lsn, &head);
+    if (s.ok()) s = r->pool->FlushAll();
+    if (s.ok()) s = r->disk->Sync();
+    if (!s.ok()) {
+      // Nothing references the failed image: take its pages back, then
+      // drop the frames it left dirty, so the next checkpoint neither
+      // writes them back nor grows the file. A page FreeChain cannot free
+      // leaks, as at a crash. (The pages file is not reopened: its last
+      // synced superblock may list as free pages the failed flush wrote.)
+      storage::FreeChain(r->pool.get(), head);
+      r->pool = std::make_unique<storage::BufferPool>(r->disk.get(),
+                                                      kImagePoolPages);
+      return s;
     }
-    EEA_ASSIGN_OR_RETURN(const storage::PageId head, writer.Finish());
-    EEA_RETURN_NOT_OK(r->pool->FlushAll());
-    EEA_RETURN_NOT_OK(r->disk->Sync());
     EEA_RETURN_NOT_OK(r->disk->WriteMeta(EncodeCheckpointMeta(head, lsn)));
     EEA_RETURN_NOT_OK(storage::FreeChain(r->pool.get(), old_head));
     EEA_RETURN_NOT_OK(r->wal->Checkpoint(lsn));
@@ -550,6 +554,22 @@ class ShardGroup {
     // never came; the truncated WAL no longer holds them either.
     r->apply_queue.clear();
     return Status::OK();
+  }
+
+  // Writes `r`'s store into the pool as a new page chain. `*head` names
+  // its first page even when a write fails part-way.
+  Status WriteImage(Replica* r, uint64_t lsn, storage::PageId* head) {
+    // ScanPrefix is globally key-sorted: the image is deterministic.
+    const auto rows = r->store->ScanPrefix("");
+    storage::PageChainWriter writer(r->pool.get(), lsn);
+    Status s = writer.WriteU64(rows.size());
+    for (size_t i = 0; s.ok() && i < rows.size(); ++i) {
+      s = writer.WriteString(rows[i].first);
+      if (s.ok()) s = writer.WriteString(rows[i].second);
+    }
+    if (s.ok()) s = writer.Finish().status();
+    *head = writer.head();
+    return s;
   }
 
   Status CheckReplicaLocked(int replica) const {

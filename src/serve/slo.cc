@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "obs/prometheus.h"
 
@@ -100,16 +99,6 @@ std::vector<SloBurn> SloTracker::Evaluate(int64_t now_us) const {
     out.push_back(EvaluateRing(name, ring, now_us));
   }
   return out;
-}
-
-void SloTracker::Publish(int64_t now_us) {
-  auto& reg = common::MetricsRegistry::Default();
-  for (const SloBurn& b : Evaluate(now_us)) {
-    reg.GetGauge("serve.slo." + b.tenant + ".availability_burn")
-        ->Set(b.availability_burn);
-    reg.GetGauge("serve.slo." + b.tenant + ".latency_burn")
-        ->Set(b.latency_burn);
-  }
 }
 
 std::string SloTracker::PrometheusText(int64_t now_us) const {

@@ -13,8 +13,6 @@
 // a ring of per-second buckets covering the window; Record() is O(1).
 //
 // Outputs:
-//   * Publish()        — serve.slo.<tenant>.{availability,latency}_burn
-//                        gauges in the process registry
 //   * PrometheusText() — a labeled gauge family
 //                        serve_slo_burn_rate{tenant="...",slo="..."}
 //                        for the admin /metrics collector hook
@@ -75,10 +73,6 @@ class SloTracker {
   /// Burn rates over each tenant's window ending at `now_us`, sorted by
   /// tenant name.
   std::vector<SloBurn> Evaluate(int64_t now_us) const;
-
-  /// Writes serve.slo.<tenant>.availability_burn / .latency_burn gauges
-  /// into the default MetricsRegistry.
-  void Publish(int64_t now_us);
 
   /// Labeled Prometheus gauge family for the admin /metrics collector:
   ///   serve_slo_burn_rate{tenant="...",slo="availability"|"latency"}

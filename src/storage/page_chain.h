@@ -48,6 +48,11 @@ class PageChainWriter {
 
   uint64_t bytes_written() const { return bytes_written_; }
 
+  /// The chain's first page (kInvalidPageId before the first write). The
+  /// pages written so far stay linked from it if a write fails, so
+  /// FreeChain can take back an unfinished chain once the writer is gone.
+  PageId head() const { return head_; }
+
  private:
   common::Status EnsurePage();
 

@@ -274,20 +274,20 @@ std::optional<geo::Geometry> ContainsRectFor(const geo::Box& query,
 
 }  // namespace
 
-// The frame every query method opens first: the request's trace root,
-// the profile scope, the latency timer and queries count, and the ambient
-// request context. A QueryProfile is built only when the caller passed
-// `profile_out` or, for the outermost query, the slow-query log is on.
+// The frame every query method opens first: the request's trace root
+// (which times the query into its latency histogram), the profile scope,
+// the queries count, and the ambient request context. A QueryProfile is
+// built only when the caller passed `profile_out` or, for the outermost
+// query, the slow-query log is on.
 class GeoStore::Call {
  public:
   Call(const char* name, common::QueryProfile* profile_out)
       : name_(name),
-        req_(name),
+        req_(name, GeoStoreMetrics::Get().query_latency_us),
         profile_out_(profile_out),
         profiling_(profile_out != nullptr ||
                    (scope_.is_root() &&
                     common::SlowQueryLog::Default().enabled())),
-        timer_(GeoStoreMetrics::Get().query_latency_us),
         rctx_(common::CurrentRequestContext()) {
     GeoStoreMetrics::Get().queries->Increment();
   }
@@ -328,7 +328,6 @@ class GeoStore::Call {
   const bool profiling_;
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
-  common::ScopedLatencyTimer timer_;
   const common::RequestContext rctx_;
   common::QueryProfile prof_;
 };
@@ -643,8 +642,7 @@ uint64_t GeoStore::ProbeIndex(const char* span_name,
                               std::span<const BatchSelectQuery> members,
                               std::span<std::vector<uint32_t>> cand) const {
   const GeoStoreMetrics& metrics = GeoStoreMetrics::Get();
-  common::TraceSpan probe_span(span_name);
-  common::ScopedLatencyTimer probe_timer(metrics.probe_latency_us);
+  common::TraceSpan probe_span(span_name, metrics.probe_latency_us);
   metrics.index_probes->Increment();
   metrics.select_traversals->Increment();
   // ONE traversal over the union of the member boxes, demuxing each

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -227,109 +225,38 @@ TEST(MetricsConcurrencyTest, RegistrationRace) {
   EXPECT_EQ(seen[0]->value(), seen.size());
 }
 
-// --- Trace spans -------------------------------------------------------
+// --- Span latency histograms ------------------------------------------
 
-TEST(TraceTest, NestedSpansAggregateByPath) {
-  Tracer& tracer = Tracer::Default();
-  tracer.Reset();
-  for (int i = 0; i < 3; ++i) {
-    TraceSpan outer("trace_test.outer");
-    TraceSpan inner("trace_test.inner");
-  }
-  const std::string json = tracer.ToJson();
-  // The inner span nests under the outer, and both executed 3 times.
-  const auto outer_pos = json.find("trace_test.outer");
-  const auto inner_pos = json.find("trace_test.inner");
-  ASSERT_NE(outer_pos, std::string::npos) << json;
-  ASSERT_NE(inner_pos, std::string::npos) << json;
-  EXPECT_LT(outer_pos, inner_pos);
-  EXPECT_NE(json.find("\"count\": 3"), std::string::npos) << json;
-}
-
-TEST(TraceTest, SiblingSpansStaySeparate) {
-  Tracer& tracer = Tracer::Default();
-  tracer.Reset();
-  {
-    TraceSpan parent("trace_test.parent");
-    { TraceSpan a("trace_test.a"); }
-    { TraceSpan b("trace_test.b"); }
-  }
-  const std::string json = tracer.ToJson();
-  EXPECT_NE(json.find("trace_test.a"), std::string::npos) << json;
-  EXPECT_NE(json.find("trace_test.b"), std::string::npos) << json;
-}
-
-TEST(TraceTest, SpansFromPoolThreadsMerge) {
-  Tracer& tracer = Tracer::Default();
-  tracer.Reset();
-  ThreadPool pool(4);
-  pool.ParallelFor(16, [&](size_t) { TraceSpan s("trace_test.pooled"); });
-  const std::string json = tracer.ToJson();
-  EXPECT_NE(json.find("trace_test.pooled"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"count\": 16"), std::string::npos) << json;
-}
-
-TEST(TraceTest, ScopedLatencyTimerObserves) {
+TEST(TraceTest, SpanHistogramGetsOneSamplePerScope) {
+  ASSERT_FALSE(EventRecorder::Default().enabled());
+  const size_t events_before = EventRecorder::Default().Snapshot().size();
   MetricsRegistry reg;
-  Histogram* h = reg.GetHistogram("timer_us");
-  { ScopedLatencyTimer t(h); }
-  EXPECT_EQ(h->count(), 1u);
-  EXPECT_GE(h->min(), 0.0);
+  Histogram* outer_us = reg.GetHistogram("outer_us");
+  Histogram* inner_us = reg.GetHistogram("inner_us");
+  for (int i = 0; i < 3; ++i) {
+    TraceRequest outer("trace_test.outer", outer_us);
+    TraceSpan inner("trace_test.inner", inner_us);
+    TraceSpan untimed("trace_test.untimed");
+  }
+  EXPECT_EQ(outer_us->count(), 3u);
+  EXPECT_EQ(inner_us->count(), 3u);
+  EXPECT_GE(inner_us->min(), 0.0);
+  // An inner scope ends first and so never outlasts its enclosing one.
+  EXPECT_LE(inner_us->sum(), outer_us->sum());
+  // With the recorder off, spans time their histograms and record nothing.
+  EXPECT_EQ(EventRecorder::Default().Snapshot().size(), events_before);
 }
 
-TEST(TraceTest, RetiredThreadSpansSurviveInExport) {
-  Tracer& tracer = Tracer::Default();
-  tracer.Reset();
+TEST(TraceTest, PoolThreadSpansFeedOneHistogram) {
+  MetricsRegistry reg;
+  Histogram* pooled_us = reg.GetHistogram("pooled_us");
   {
-    // Pool workers record spans into their thread-local trees; pool
-    // destruction retires those threads, merging the trees into the
-    // tracer's retired tree.
-    ThreadPool pool(3);
-    pool.ParallelFor(12, [&](size_t) { TraceSpan s("trace_test.retired"); });
-  }
-  const std::string json = tracer.ToJson();
-  EXPECT_NE(json.find("trace_test.retired"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"count\": 12"), std::string::npos) << json;
-}
-
-TEST(TraceTest, RetiredTreesMergeWithLiveOnes) {
-  Tracer& tracer = Tracer::Default();
-  tracer.Reset();
-  {
-    ThreadPool pool(2);
-    pool.ParallelFor(8, [&](size_t) { TraceSpan s("trace_test.merged"); });
-  }
-  // 8 retired executions + 4 on the live (main) thread aggregate by path.
-  for (int i = 0; i < 4; ++i) {
-    TraceSpan s("trace_test.merged");
-  }
-  const std::string json = tracer.ToJson();
-  EXPECT_NE(json.find("\"count\": 12"), std::string::npos) << json;
-}
-
-TEST(TraceTest, ConcurrentExportWhileRecording) {
-  Tracer& tracer = Tracer::Default();
-  tracer.Reset();
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([] {
-      for (int i = 0; i < 2000; ++i) {
-        TraceSpan outer("trace_test.export_outer");
-        TraceSpan inner("trace_test.export_inner");
-      }
+    ThreadPool pool(4);
+    pool.ParallelFor(16, [&](size_t) {
+      TraceSpan s("trace_test.pooled", pooled_us);
     });
   }
-  // Exports race with span creation and thread registration/retirement;
-  // every snapshot must stay parseable (balanced braces).
-  for (int i = 0; i < 50; ++i) {
-    const std::string json = tracer.ToJson();
-    ASSERT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-  }
-  for (std::thread& w : writers) w.join();
-  const std::string json = tracer.ToJson();
-  EXPECT_NE(json.find("trace_test.export_outer"), std::string::npos);
-  EXPECT_NE(json.find("trace_test.export_inner"), std::string::npos);
+  EXPECT_EQ(pooled_us->count(), 16u);
 }
 
 }  // namespace

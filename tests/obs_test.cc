@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -353,6 +354,50 @@ TEST(SlowQueryLogConcurrency, KeepsExactlyTheWorstN) {
 }
 
 // --- HTTP server ------------------------------------------------------------
+
+TEST(HttpDecode, HostileRequestHeads) {
+  using eea::obs::DecodeRequestHead;
+  auto status = [](const char* head) {
+    return DecodeRequestHead(head).status;
+  };
+  // The request line needs METHOD SP target SP HTTP/...
+  EXPECT_EQ(status("GET\r\n\r\n"), 400);
+  EXPECT_EQ(status("GET /x\r\n\r\n"), 400);
+  EXPECT_EQ(status("GET /x FTP/1.0\r\n\r\n"), 400);
+  EXPECT_EQ(status("GET /x HTTP\r\n\r\n"), 400);
+  EXPECT_EQ(status(""), 400);
+  // Only GET and HEAD, case-sensitively.
+  EXPECT_EQ(status("POST /x HTTP/1.1\r\n\r\n"), 405);
+  EXPECT_EQ(status("get /x HTTP/1.1\r\n\r\n"), 405);
+  const auto head = DecodeRequestHead("HEAD /x HTTP/1.1\r\nHost: h\r\n\r\n");
+  EXPECT_EQ(head.status, 200);
+  EXPECT_EQ(head.request.method, "HEAD");
+  EXPECT_EQ(head.request.path, "/x");
+  // An empty target decodes to an empty path (which no handler serves).
+  const auto empty = DecodeRequestHead("GET  HTTP/1.1\n\n");
+  EXPECT_EQ(empty.status, 200);
+  EXPECT_EQ(empty.request.path, "");
+  EXPECT_TRUE(empty.request.query.empty());
+  // Malformed escapes stay literal; the target runs to the last space.
+  EXPECT_EQ(DecodeRequestHead("GET /a% HTTP/1.1\r\n\r\n").request.path,
+            "/a%");
+  EXPECT_EQ(DecodeRequestHead("GET /%zz%4 HTTP/1.1\r\n\r\n").request.path,
+            "/%zz%4");
+  EXPECT_EQ(DecodeRequestHead("GET /a b%41+ HTTP/1.1\r\n\r\n").request.path,
+            "/a bA ");
+  using Query = std::map<std::string, std::string>;
+  auto query = [](const char* head) {
+    return DecodeRequestHead(head).request.query;
+  };
+  EXPECT_EQ(query("GET /x? HTTP/1.1\r\n\r\n"), Query{});
+  EXPECT_EQ(query("GET /x?&& HTTP/1.1\r\n\r\n"), (Query{{"", ""}}));
+  EXPECT_EQ(query("GET /x?=v HTTP/1.1\r\n\r\n"), (Query{{"", "v"}}));
+  EXPECT_EQ(query("GET /x?k=v% HTTP/1.1\r\n\r\n"), (Query{{"k", "v%"}}));
+  EXPECT_EQ(query("GET /x?k=%zz&k=2&flag& HTTP/1.1\r\n\r\n"),
+            (Query{{"k", "2"}, {"flag", ""}}));
+  EXPECT_EQ(query("GET /x?a=1=2&b%3D=c+d HTTP/1.1\r\n\r\n"),
+            (Query{{"a", "1=2"}, {"b=", "c d"}}));
+}
 
 class HttpServerTest : public ::testing::Test {
  protected:

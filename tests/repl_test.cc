@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "dfs/hopsfs.h"
@@ -599,6 +600,54 @@ TEST_F(ReplTest, FailedCheckpointLosesFollowerButLeaderKeepsServing) {
   auto rows = store->ScanReplicaPrefix(0, 2, "");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 10u);
+}
+
+// A checkpoint whose page write fails leaves nothing for the next one to
+// write back: that checkpoint issues as many page writes as the same one
+// on a store that never failed, and leaves a pages file of the same size.
+TEST_F(ReplTest, FailedCheckpointLeaksNoPagesIntoTheNext) {
+  common::Counter* page_writes =
+      common::MetricsRegistry::Default().GetCounter("storage.page.writes");
+  ReplOptions opt;
+  opt.num_shards = 1;
+  opt.followers_per_shard = 0;
+  opt.write_quorum = 0;
+  // A zero-follower store images 8 rows (creating its pages file), takes
+  // 8 more and images them. Returns the page writes of that last
+  // checkpoint and the pages file's size, after checking that a reopen
+  // recovers all 16 rows from the image.
+  auto run = [&](bool fail_once_first) -> std::pair<uint64_t, uintmax_t> {
+    TempDir dir;
+    opt.data_dir = dir.path();
+    auto store = OpenOrDie(opt);
+    for (int i = 0; i < 16; ++i) {
+      if (i == 8) {
+        EXPECT_TRUE(store->Checkpoint().ok());
+      }
+      EXPECT_TRUE(store->Put(common::StrFormat("ck%02d", i), "v").ok());
+    }
+    if (fail_once_first) {
+      FaultRule rule;
+      rule.fail_calls = {1};
+      FaultInjector::Default().Program("storage.page.write", rule);
+      EXPECT_FALSE(store->Checkpoint().ok());
+      FaultInjector::Default().Reset();
+    }
+    const uint64_t writes_before = page_writes->value();
+    EXPECT_TRUE(store->Checkpoint().ok());
+    const uint64_t writes = page_writes->value() - writes_before;
+    const uintmax_t bytes =
+        std::filesystem::file_size(dir.path() + "/shard000_replica00.pages");
+    store.reset();
+    store = OpenOrDie(opt);
+    EXPECT_EQ(store->Size(), 16u);
+    EXPECT_EQ(store->StatusSnapshot()[0].replicas[0].recovered_rows, 16u);
+    return {writes, bytes};
+  };
+  const auto clean = run(false);
+  const auto after_failure = run(true);
+  EXPECT_EQ(after_failure.first, clean.first);
+  EXPECT_EQ(after_failure.second, clean.second);
 }
 
 TEST_F(ReplTest, StoreWithoutCheckpointKeepsOnlyWalFiles) {

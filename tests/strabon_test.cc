@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/query_profile.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -533,31 +533,26 @@ TEST(GeoStoreProfileTest, SlowQueryLogKeepsWorstQueries) {
   log.Clear();
 }
 
-TEST(GeoStoreProfileTest, ProfileTotalAgreesWithAggregateTracer) {
-  common::Tracer::Default().Reset();
+TEST(GeoStoreProfileTest, ProfileTotalAgreesWithLatencyHistogram) {
   GeoWorkloadOptions opt;
   opt.num_features = 3000;
   opt.world_size = 1000.0;
   GeoStore store = MakeGeoWorkload(opt);
+  common::Histogram* latency_us =
+      common::MetricsRegistry::Default().GetHistogram(
+          "strabon.geostore.query_latency_us");
+  latency_us->Reset();
   common::QueryProfile profile;
   store.SpatialSelect(geo::Box::Of(0, 0, 600, 600),
                       SpatialRelation::kIntersects, true, nullptr, &profile);
-  // The aggregate tracer timed the same single request under the path
-  // "strabon.SpatialSelect"; its total must agree with the profile.
-  // Earlier tests in this process may have left zeroed same-named nodes
-  // on other paths, so locate the node that recorded this execution.
-  const std::string json = common::Tracer::Default().ToJson();
-  const std::string needle = "\"strabon.SpatialSelect\", \"count\": 1, ";
-  const size_t name_pos = json.find(needle);
-  ASSERT_NE(name_pos, std::string::npos) << json;
-  double tracer_us = 0.0;
-  ASSERT_EQ(std::sscanf(json.c_str() + name_pos + needle.size(),
-                        "\"total_us\": %lf", &tracer_us),
-            1)
-      << json.substr(name_pos, 120);
-  // Same interval measured by two clocks reads: generous tolerance.
-  EXPECT_NEAR(tracer_us, profile.total_us,
-              0.5 * std::max(tracer_us, profile.total_us) + 50.0);
+  // The request's span timed the same single query into the latency
+  // histogram; its one sample must agree with the profile's total.
+  ASSERT_EQ(latency_us->count(), 1u);
+  const double span_us = latency_us->sum();
+  // The span opens before the profile's clock starts and closes after it
+  // stops, so it reads a little longer: generous tolerance.
+  EXPECT_NEAR(span_us, profile.total_us,
+              0.5 * std::max(span_us, profile.total_us) + 50.0);
 }
 
 TEST(WorkloadTest, Deterministic) {

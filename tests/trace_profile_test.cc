@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/query_profile.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -20,6 +21,8 @@ namespace {
 
 using exearth::common::CurrentTraceContext;
 using exearth::common::EventRecorder;
+using exearth::common::Histogram;
+using exearth::common::MetricsRegistry;
 using exearth::common::OperatorProfile;
 using exearth::common::ProfileScope;
 using exearth::common::QueryProfile;
@@ -77,6 +80,46 @@ TEST_F(RecorderTest, NestedSpansLinkToParents) {
             by_name["test.root"]->span_id);
   EXPECT_EQ(by_name["test.leaf"]->parent_span_id,
             by_name["test.inner"]->span_id);
+}
+
+TEST_F(RecorderTest, SpanHistogramsTimeTheRecordedIntervals) {
+  MetricsRegistry reg;
+  Histogram* root_us = reg.GetHistogram("root_us");
+  Histogram* inner_us = reg.GetHistogram("inner_us");
+  for (int i = 0; i < 3; ++i) {
+    TraceRequest req("test.timed_root", root_us);
+    TraceSpan inner("test.timed_inner", inner_us);
+    { TraceSpan leaf("test.timed_leaf"); }
+  }
+  // One sample per scope, as with the recorder off.
+  EXPECT_EQ(root_us->count(), 3u);
+  EXPECT_EQ(inner_us->count(), 3u);
+  const std::vector<SpanEvent> events = EventRecorder::Default().Snapshot();
+  ASSERT_EQ(events.size(), 9u);
+  std::map<uint64_t, const SpanEvent*> by_id;
+  for (const SpanEvent& ev : events) by_id[ev.span_id] = &ev;
+  double root_event_us = 0.0;
+  double inner_event_us = 0.0;
+  for (const SpanEvent& ev : events) {
+    const std::string name = ev.name;
+    const double us = static_cast<double>(ev.end_ns - ev.start_ns) / 1000.0;
+    // A histogram changes no parent link.
+    if (name == "test.timed_root") {
+      EXPECT_EQ(ev.parent_span_id, 0u);
+      root_event_us += us;
+    } else {
+      ASSERT_EQ(by_id.count(ev.parent_span_id), 1u) << name;
+      const SpanEvent& parent = *by_id[ev.parent_span_id];
+      EXPECT_EQ(parent.trace_id, ev.trace_id);
+      const char* want =
+          name == "test.timed_inner" ? "test.timed_root" : "test.timed_inner";
+      EXPECT_STREQ(parent.name, want);
+      if (name == "test.timed_inner") inner_event_us += us;
+    }
+  }
+  // The event and the sample come from the same two clock reads.
+  EXPECT_DOUBLE_EQ(root_us->sum(), root_event_us);
+  EXPECT_DOUBLE_EQ(inner_us->sum(), inner_event_us);
 }
 
 TEST_F(RecorderTest, NestedRequestJoinsEnclosingTrace) {

@@ -261,9 +261,6 @@ int main(int argc, char** argv) {
   // a zero-duration run still covers virtual second 0).
   virtual_now->store(std::max<int64_t>(report.virtual_duration_us, 1),
                      std::memory_order_relaxed);
-  if (admin != nullptr) {
-    slo.Publish(virtual_now->load(std::memory_order_relaxed));
-  }
   std::printf("%s\n\n", report.Summary().c_str());
   std::printf("%-12s %9s %9s %9s %9s %9s %9s %9s\n", "tenant", "offered",
               "ok", "q_shed", "a_shed", "errors", "hits", "batched");
