@@ -28,7 +28,6 @@ AdmissionController::AdmissionController(std::string name,
   const std::string prefix = "admission." + name_ + ".";
   admitted_ctr_ = reg.GetCounter(prefix + "admitted");
   shed_ctr_ = reg.GetCounter(prefix + "shed");
-  shed_on_age_ctr_ = reg.GetCounter(prefix + "shed_on_age");
   depth_gauge_ = reg.GetGauge(prefix + "queue_depth");
   depth_peak_gauge_ = reg.GetGauge(prefix + "queue_depth_peak");
 }
@@ -69,19 +68,6 @@ Status AdmissionController::TryAdmit(Priority priority) {
   depth_gauge_->Set(static_cast<double>(depth + 1));
   depth_peak_gauge_->Max(static_cast<double>(depth + 1));
   return Status::OK();
-}
-
-Status AdmissionController::StartQueued(
-    std::chrono::steady_clock::time_point admitted_at) {
-  if (options_.max_queue_age_us <= 0) return Status::OK();
-  const auto age = std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - admitted_at)
-                       .count();
-  if (age <= options_.max_queue_age_us) return Status::OK();
-  shed_on_age_ctr_->Increment();
-  return Status::ResourceExhausted(
-      "admission." + name_ + ": queued work aged out (" + std::to_string(age) +
-      "us > " + std::to_string(options_.max_queue_age_us) + "us)");
 }
 
 void AdmissionController::Finish() {

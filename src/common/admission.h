@@ -1,7 +1,7 @@
 // Admission control and load shedding for per-subsystem work queues.
 //
 // An AdmissionController fronts one subsystem's queue (federation queries,
-// scheduler ready set, ingestion backlog, thread-pool submissions). Work
+// scheduler ready set, ingestion backlog, the serving broker). Work
 // asks to enter with a priority class; the controller admits it while the
 // queue has room for that class and sheds it with ResourceExhausted
 // otherwise. Shedding at the door is the whole point: a request that
@@ -16,11 +16,6 @@
 // slots, so a tiny queue can leave a low class with zero slots — that is
 // strictness, not a bug).
 //
-// Queued work can additionally be shed at *dequeue* when it sat in line
-// longer than max_queue_age_us (work older than a typical client timeout
-// is doomed; running it is pure waste). ThreadPool::TrySubmit wires this
-// in; see thread_pool.h.
-//
 //   AdmissionController ctrl("fed", {.max_depth = 64});
 //   Status s = ctrl.TryAdmit(Priority::kInteractive);
 //   if (!s.ok()) return s;          // shed: ResourceExhausted
@@ -28,15 +23,15 @@
 //   ... do the work ...
 //
 // Observable per controller: admission.<name>.queue_depth (gauge),
-// .queue_depth_peak (gauge, high-water), .admitted / .shed /
-// .shed_on_age (counters). All methods are thread-safe; the hot path is
-// a couple of relaxed atomics.
+// .queue_depth_peak (gauge, high-water), .admitted / .shed (counters).
+// All methods are thread-safe; the hot path is a couple of relaxed
+// atomics.
 
 #ifndef EXEARTH_COMMON_ADMISSION_H_
 #define EXEARTH_COMMON_ADMISSION_H_
 
 #include <atomic>
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -62,9 +57,6 @@ struct AdmissionOptions {
   /// Fractions of max_depth available to lower classes (floored).
   double batch_fraction = 0.75;
   double best_effort_fraction = 0.5;
-  /// If > 0, work admitted longer than this ago is shed at StartQueued()
-  /// instead of run. 0 disables age shedding.
-  int64_t max_queue_age_us = 0;
 };
 
 /// Bounded-admission gate for one subsystem. `name` keys the metrics.
@@ -76,11 +68,6 @@ class AdmissionController {
   /// Finish(), or let an AdmissionTicket do it); ResourceExhausted means
   /// the queue is full for this priority class and the work was shed.
   Status TryAdmit(Priority priority);
-
-  /// Age check at the moment queued work starts running: OK to proceed,
-  /// or ResourceExhausted when the work sat in line past
-  /// max_queue_age_us. A shed here still holds its slot until Finish().
-  Status StartQueued(std::chrono::steady_clock::time_point admitted_at);
 
   /// Releases one admitted slot.
   void Finish();
@@ -101,7 +88,6 @@ class AdmissionController {
   std::atomic<size_t> depth_{0};
   Counter* admitted_ctr_;
   Counter* shed_ctr_;
-  Counter* shed_on_age_ctr_;
   Gauge* depth_gauge_;
   Gauge* depth_peak_gauge_;
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <memory>
 
 #include "common/deadline.h"
 #include "common/trace.h"
@@ -45,26 +43,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
     tasks_.push(std::move(task));
   }
   cv_.notify_one();
-  return fut;
-}
-
-Result<std::future<Status>> ThreadPool::TrySubmit(std::function<void()> fn,
-                                                  Priority priority) {
-  AdmissionController* ctrl = admission_controller();
-  if (ctrl != nullptr) {
-    EEA_RETURN_NOT_OK(ctrl->TryAdmit(priority));
-  }
-  auto promise = std::make_shared<std::promise<Status>>();
-  std::future<Status> fut = promise->get_future();
-  const auto admitted_at = std::chrono::steady_clock::now();
-  Submit([ctrl, admitted_at, promise, fn = std::move(fn)] {
-    // The slot is held until here so queue depth counts waiting *and*
-    // running work; the age check sheds tasks that sat in line too long.
-    AdmissionTicket ticket(ctrl);
-    Status s = ctrl ? ctrl->StartQueued(admitted_at) : Status::OK();
-    if (s.ok()) fn();
-    promise->set_value(std::move(s));
-  });
   return fut;
 }
 

@@ -15,10 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/admission.h"
-#include "common/result.h"
-#include "common/status.h"
-
 namespace exearth::common {
 
 /// A fixed pool of worker threads executing submitted closures FIFO.
@@ -40,26 +36,6 @@ class ThreadPool {
   /// request and `fn` observes that request's deadline/cancellation.
   std::future<void> Submit(std::function<void()> fn);
 
-  /// Installs an admission gate on TrySubmit. Not owned; must outlive the
-  /// pool (or be cleared with nullptr). Plain Submit stays ungated: it
-  /// carries the pool's own fan-out chunks (ParallelFor), which must
-  /// never be shed mid-query.
-  void set_admission_controller(AdmissionController* ctrl) {
-    admission_.store(ctrl, std::memory_order_release);
-  }
-  AdmissionController* admission_controller() const {
-    return admission_.load(std::memory_order_acquire);
-  }
-
-  /// Admission-controlled Submit. Sheds at enqueue when the controller's
-  /// queue is full for `priority` (returns ResourceExhausted, `fn` is
-  /// dropped without running), and at dequeue when the task aged out in
-  /// line (the future then yields ResourceExhausted and `fn` does not
-  /// run). On success the future yields `fn`'s OK once it ran. With no
-  /// controller installed this is Submit with a Status future.
-  Result<std::future<Status>> TrySubmit(std::function<void()> fn,
-                                        Priority priority);
-
   /// Runs fn(i) for i in [0, n), partitioned across the pool, and blocks
   /// until all iterations finished.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
@@ -72,7 +48,6 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::atomic<AdmissionController*> admission_{nullptr};
 };
 
 }  // namespace exearth::common

@@ -86,23 +86,13 @@ Endpoint::Endpoint(std::string name, rdf::TripleStore store)
   }
 }
 
-Endpoint::Endpoint(std::string name)
-    : name_(std::move(name)),
-      trace_label_("endpoint:" + name_),
-      fault_point_("fed.endpoint.call:" + name_) {}
-
-common::Status Endpoint::BeginRemoteCall() const {
+Result<std::vector<std::map<std::string, rdf::Term>>> Endpoint::ExecutePattern(
+    const rdf::TriplePattern& pattern) const {
   // The fault boundary: programmed rules fire here (error status and/or
   // injected latency), before the endpoint does any work — exactly where
   // a network/endpoint failure would surface.
   EEA_RETURN_NOT_OK(common::fault::MaybeFail(fault_point_.c_str()));
   calls_served_.fetch_add(1, std::memory_order_relaxed);
-  return common::Status::OK();
-}
-
-Result<std::vector<std::map<std::string, rdf::Term>>> Endpoint::ExecutePattern(
-    const rdf::TriplePattern& pattern) const {
-  EEA_RETURN_NOT_OK(BeginRemoteCall());
   rdf::QueryEngine engine(&store_);
   rdf::Query q;
   q.where.push_back(pattern);

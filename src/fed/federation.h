@@ -47,17 +47,9 @@
 namespace exearth::fed {
 
 /// A federation member: a named store plus its advertised summary.
-///
-/// The base class wraps an rdf::TripleStore; subclasses (e.g. the
-/// replication layer's follower-read endpoints) override ExecutePattern
-/// and Advertises to answer from another backing store while reusing the
-/// mediator's retry/breaker/partial-ok machinery unchanged — overrides
-/// should call BeginRemoteCall() first so programmed faults and the
-/// remote-call counter behave identically across endpoint kinds.
 class Endpoint {
  public:
   Endpoint(std::string name, rdf::TripleStore store);
-  virtual ~Endpoint() = default;
 
   const std::string& name() const { return name_; }
   const rdf::TripleStore& store() const { return store_; }
@@ -68,7 +60,7 @@ class Endpoint {
   }
 
   /// True if the endpoint advertises `predicate_iri`.
-  virtual bool Advertises(const std::string& predicate_iri) const {
+  bool Advertises(const std::string& predicate_iri) const {
     return summary_.count(predicate_iri) > 0;
   }
 
@@ -77,7 +69,7 @@ class Endpoint {
   /// fans out to endpoints in parallel). Passes the
   /// `fed.endpoint.call:<name>` injection point first, so programmed
   /// faults surface here as error statuses (or injected latency).
-  virtual common::Result<std::vector<std::map<std::string, rdf::Term>>>
+  common::Result<std::vector<std::map<std::string, rdf::Term>>>
   ExecutePattern(const rdf::TriplePattern& pattern) const;
 
   uint64_t calls_served() const {
@@ -91,23 +83,12 @@ class Endpoint {
   /// Stable injection-point name ("fed.endpoint.call:name").
   const char* fault_point() const { return fault_point_.c_str(); }
 
- protected:
-  /// Subclass constructor: no backing triple store; the subclass
-  /// populates summary() itself (advertised predicate -> row estimate).
-  explicit Endpoint(std::string name);
-
-  /// The remote-call boundary shared by every endpoint kind: passes the
-  /// `fed.endpoint.call:<name>` injection point (error statuses and
-  /// injected latency surface here) and counts the call on success.
-  common::Status BeginRemoteCall() const;
-
-  std::unordered_map<std::string, uint64_t> summary_;
-
  private:
   std::string name_;
   std::string trace_label_;
   std::string fault_point_;
   rdf::TripleStore store_;
+  std::unordered_map<std::string, uint64_t> summary_;
   mutable std::atomic<uint64_t> calls_served_{0};
 };
 

@@ -23,20 +23,22 @@ std::string ShardzText(const ReplicatedKvStore& store) {
       static_cast<unsigned long long>(stats.quorum_failures),
       static_cast<unsigned long long>(stats.elections),
       static_cast<unsigned long long>(stats.leader_crashes));
-  body += StrFormat("%-6s %-8s %-9s %12s %12s %10s %10s %18s\n", "shard",
-                    "replica", "role", "durable_lsn", "applied_lsn",
-                    "lag", "elections", "term");
+  body += StrFormat("%-6s %-8s %-9s %12s %12s %10s %10s %18s %11s\n",
+                    "shard", "replica", "role", "durable_lsn", "applied_lsn",
+                    "lag", "elections", "term", "log_records");
   for (const ShardStatus& shard : shards) {
     for (const ReplicaStatus& r : shard.replicas) {
       const char* role =
           r.down ? "down" : (r.is_leader ? "leader" : "follower");
       body += StrFormat(
-          "%-6d %-8d %-9s %12llu %12llu %10llu %10llu %18llx\n", r.shard,
-          r.replica, role, static_cast<unsigned long long>(r.durable_lsn),
+          "%-6d %-8d %-9s %12llu %12llu %10llu %10llu %18llx %11llu\n",
+          r.shard, r.replica, role,
+          static_cast<unsigned long long>(r.durable_lsn),
           static_cast<unsigned long long>(r.applied_lsn),
           static_cast<unsigned long long>(r.lag_frames),
           static_cast<unsigned long long>(shard.elections),
-          static_cast<unsigned long long>(shard.election_term));
+          static_cast<unsigned long long>(shard.election_term),
+          static_cast<unsigned long long>(shard.log_records));
     }
   }
   return body;

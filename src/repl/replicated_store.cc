@@ -1,6 +1,7 @@
 #include "repl/replicated_store.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -168,7 +169,8 @@ class ShardGroup {
   /// loads its image and replays its WAL; the replica with the highest
   /// durable LSN becomes leader (recovery selection — not counted as a
   /// failover election) and its log becomes the shard log. A follower
-  /// whose log ends below the shard log's start is reported down.
+  /// whose log ends below the shard log's start is reported down; the
+  /// shard log then keeps only what the live followers lack.
   /// `*max_txn_id` rises to the highest transaction id in any WAL.
   Status Open(uint64_t* max_txn_id) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -194,6 +196,7 @@ class ShardGroup {
     }
     mem_next_lsn_ =
         replicas_[static_cast<size_t>(leader_)].durable_lsn + 1;
+    TrimLogLocked();
     return Status::OK();
   }
 
@@ -287,6 +290,7 @@ class ShardGroup {
     //    The caller's kv transaction still holds the row locks.
     ApplyRecords(std::span(log_).last(batch_size), leader.store.get(),
                  &leader.applied_lsn, &leader.apply_queue);
+    TrimLogLocked();
     return Status::OK();
   }
 
@@ -306,6 +310,7 @@ class ShardGroup {
     for (Replica& f : replicas_) {
       if (f.id != leader_ && !f.down) ShipSuffixLocked(&f, 1);
     }
+    TrimLogLocked();
     return Status::OK();
   }
 
@@ -377,6 +382,7 @@ class ShardGroup {
             : 0;
     out.elections = elections_;
     out.election_term = election_term_;
+    out.log_records = log_.size();
     for (const Replica& r : replicas_) {
       ReplicaStatus rs;
       rs.shard = shard_id_;
@@ -719,6 +725,25 @@ class ShardGroup {
     return true;
   }
 
+  // Drops the log prefix every live follower holds durably. Catch-up
+  // ships only records a live follower lacks, and a down replica never
+  // returns, so nothing below the trim point is ever shipped again; a
+  // shard with no live follower keeps no log. An election's winner holds
+  // at least every live follower's durable LSN, so its log still
+  // continues the trimmed one.
+  void TrimLogLocked() {
+    uint64_t keep_from = log_base_ + log_.size();
+    for (const Replica& r : replicas_) {
+      if (r.id != leader_ && !r.down) {
+        keep_from = std::min(keep_from, r.durable_lsn);
+      }
+    }
+    if (keep_from <= log_base_) return;
+    const auto drop = static_cast<std::ptrdiff_t>(keep_from - log_base_);
+    log_.erase(log_.begin(), log_.begin() + drop);
+    log_base_ = keep_from;
+  }
+
   void DrainApplyLocked(Replica* r) {
     if (r->apply_queue.empty()) return;
     std::vector<WalRecord> leftover;
@@ -738,8 +763,8 @@ class ShardGroup {
   // Next LSN in volatile mode (durable mode asks the leader's WAL).
   uint64_t mem_next_lsn_ = 1;
   // The shard's replicated log, the catch-up source for lagging
-  // followers: log_[i].lsn == log_base_ + i + 1. It starts at the
-  // recovery leader's checkpoint marker and is not trimmed while open.
+  // followers: log_[i].lsn == log_base_ + i + 1. It holds only what some
+  // live follower still lacks (TrimLogLocked).
   std::vector<WalRecord> log_;
   uint64_t log_base_ = 0;
   ReplStats stats_;  // elections tracked separately in elections_

@@ -71,8 +71,11 @@
 // stuck partial and reported Unavailable — with K >= 1 and single-node
 // crashes this cannot happen.)
 //
-// The in-memory shard log is not trimmed at a checkpoint (see README
-// "Replication").
+// The in-memory shard log is the catch-up source for lagging followers.
+// After every commit, checkpoint and open it is trimmed to the lowest
+// durable LSN among the live followers, so a caught-up shard (and any
+// zero-follower shard) holds no records; ShardStatus::log_records shows
+// what it holds.
 
 #ifndef EXEARTH_REPL_REPLICATED_STORE_H_
 #define EXEARTH_REPL_REPLICATED_STORE_H_
@@ -136,6 +139,7 @@ struct ShardStatus {
   uint64_t leader_lsn = 0;
   uint64_t elections = 0;       // failovers since open
   uint64_t election_term = 0;   // seeded nonce of the latest election
+  uint64_t log_records = 0;     // shard-log records held for catch-up
   std::vector<ReplicaStatus> replicas;
 };
 

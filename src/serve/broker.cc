@@ -72,117 +72,29 @@ uint64_t FnvU64(uint64_t h, uint64_t v) { return FnvBytes(h, &v, sizeof(v)); }
 
 uint64_t FnvDouble(uint64_t h, double v) { return FnvBytes(h, &v, sizeof(v)); }
 
-uint64_t FnvString(uint64_t h, const std::string& s) {
-  h = FnvU64(h, s.size());
-  return FnvBytes(h, s.data(), s.size());
-}
-
 uint64_t HashIds(const std::vector<uint64_t>& ids) {
   uint64_t h = kFnvOffset;
   for (uint64_t id : ids) h = FnvU64(h, id);
   return h;
 }
 
-uint64_t HashPairs(const std::vector<std::pair<uint64_t, uint64_t>>& ps) {
-  uint64_t h = kFnvOffset;
-  for (const auto& [a, b] : ps) h = FnvU64(FnvU64(h, a), b);
-  return h;
-}
-
-// Order-independent: federated row order is deterministic per engine, but
-// summing per-row hashes keeps the value stable across merge orders too.
-uint64_t HashRows(const std::vector<fed::FedBinding>& rows) {
-  uint64_t total = 0;
-  for (const auto& row : rows) {
-    uint64_t h = kFnvOffset;
-    for (const auto& [var, term] : row) {
-      h = FnvString(h, var);
-      h = FnvString(h, term.ToString());
-    }
-    total += h;
-  }
-  return total;
-}
-
 }  // namespace
-
-const char* RequestTypeToString(RequestType t) {
-  switch (t) {
-    case RequestType::kSpatialSelect:
-      return "spatial_select";
-    case RequestType::kSpatialJoin:
-      return "spatial_join";
-    case RequestType::kFederated:
-      return "federated";
-  }
-  return "unknown";
-}
 
 Request Request::SpatialSelect(const geo::Box& box,
                                strabon::SpatialRelation rel) {
   Request r;
-  r.type = RequestType::kSpatialSelect;
   r.box = box;
   r.relation = rel;
   return r;
 }
 
-Request Request::SpatialJoin(std::string class_a, std::string class_b,
-                             strabon::SpatialRelation rel) {
-  Request r;
-  r.type = RequestType::kSpatialJoin;
-  r.class_a = std::move(class_a);
-  r.class_b = std::move(class_b);
-  r.relation = rel;
-  return r;
-}
-
-Request Request::Federated(rdf::Query query) {
-  Request r;
-  r.type = RequestType::kFederated;
-  r.fed_query = std::move(query);
-  return r;
-}
-
 uint64_t Request::Fingerprint() const {
   uint64_t h = kFnvOffset;
-  h = FnvU64(h, static_cast<uint64_t>(type));
-  switch (type) {
-    case RequestType::kSpatialSelect:
-      h = FnvDouble(h, box.min_x);
-      h = FnvDouble(h, box.min_y);
-      h = FnvDouble(h, box.max_x);
-      h = FnvDouble(h, box.max_y);
-      h = FnvU64(h, static_cast<uint64_t>(relation));
-      break;
-    case RequestType::kSpatialJoin:
-      h = FnvString(h, class_a);
-      h = FnvString(h, class_b);
-      h = FnvU64(h, static_cast<uint64_t>(relation));
-      break;
-    case RequestType::kFederated: {
-      // Canonical encoding of the BGP (filters are opaque and ignored by
-      // the federation engine; see fed/federation.h).
-      h = FnvU64(h, fed_query.where.size());
-      auto slot = [&](const rdf::PatternSlot& s) {
-        h = FnvU64(h, s.is_var ? 1 : 0);
-        if (s.is_var) {
-          h = FnvString(h, s.var);
-        } else {
-          h = FnvString(h, s.term.ToString());
-        }
-      };
-      for (const rdf::TriplePattern& p : fed_query.where) {
-        slot(p.s);
-        slot(p.p);
-        slot(p.o);
-      }
-      for (const std::string& v : fed_query.select) h = FnvString(h, v);
-      h = FnvU64(h, fed_query.limit);
-      break;
-    }
-  }
-  return h;
+  h = FnvDouble(h, box.min_x);
+  h = FnvDouble(h, box.min_y);
+  h = FnvDouble(h, box.max_x);
+  h = FnvDouble(h, box.max_y);
+  return FnvU64(h, static_cast<uint64_t>(relation));
 }
 
 bool QueryBroker::TokenBucket::TryTake(int64_t now_us) {
@@ -255,16 +167,13 @@ common::Status QueryBroker::CheckReady() const {
   if (shutting_down()) {
     return Status::Unavailable("serve: broker shutting down");
   }
-  if (store_ == nullptr && fed_ == nullptr) {
+  if (store_ == nullptr) {
     return Status::FailedPrecondition("serve: no backend registered");
   }
   return Status::OK();
 }
 
-uint64_t QueryBroker::EpochFor(RequestType type) const {
-  if (type == RequestType::kFederated) {
-    return fed_epoch_.load(std::memory_order_relaxed);
-  }
+uint64_t QueryBroker::DataEpoch() const {
   return store_ != nullptr ? store_->data_epoch() : 0;
 }
 
@@ -273,8 +182,7 @@ size_t QueryBroker::cache_size() const {
   return cache_lru_.size();
 }
 
-bool QueryBroker::CacheGet(const CacheKey& key, RequestType type,
-                           Response* out) {
+bool QueryBroker::CacheGet(const CacheKey& key, Response* out) {
   if (options_.cache_capacity == 0) return false;
   const ServeMetrics& metrics = ServeMetrics::Get();
   std::lock_guard<std::mutex> lock(cache_mu_);
@@ -283,7 +191,7 @@ bool QueryBroker::CacheGet(const CacheKey& key, RequestType type,
     metrics.cache_misses->Increment();
     return false;
   }
-  if (it->second->epoch != EpochFor(type)) {
+  if (it->second->epoch != DataEpoch()) {
     // Ingest moved the data epoch since this entry was filled: the entry
     // is stale, drop it so the request recomputes against fresh data.
     cache_lru_.erase(it->second);
@@ -296,16 +204,13 @@ bool QueryBroker::CacheGet(const CacheKey& key, RequestType type,
   const CacheEntry& e = *it->second;
   out->status = Status::OK();
   out->ids = e.ids;
-  out->pairs = e.pairs;
-  out->rows = e.rows;
   out->result_hash = e.result_hash;
   out->cache_hit = true;
   metrics.cache_hits->Increment();
   return true;
 }
 
-void QueryBroker::CachePut(const CacheKey& key, RequestType type,
-                           const Response& resp) {
+void QueryBroker::CachePut(const CacheKey& key, const Response& resp) {
   if (options_.cache_capacity == 0 || !resp.status.ok()) return;
   const ServeMetrics& metrics = ServeMetrics::Get();
   std::lock_guard<std::mutex> lock(cache_mu_);
@@ -314,48 +219,14 @@ void QueryBroker::CachePut(const CacheKey& key, RequestType type,
     cache_lru_.erase(it->second);
     cache_index_.erase(it);
   }
-  cache_lru_.push_front(CacheEntry{key, type, EpochFor(type), resp.ids,
-                                   resp.pairs, resp.rows, resp.result_hash});
+  cache_lru_.push_front(
+      CacheEntry{key, DataEpoch(), resp.ids, resp.result_hash});
   cache_index_[key] = cache_lru_.begin();
   while (cache_lru_.size() > options_.cache_capacity) {
     cache_index_.erase(cache_lru_.back().key);
     cache_lru_.pop_back();
     metrics.cache_evicted->Increment();
   }
-}
-
-void QueryBroker::ExecuteSingle(const Tenant& t, const Request& request,
-                                Response* out) {
-  common::TraceRequest req("serve.request");
-  if (request.type == RequestType::kSpatialJoin) {
-    if (store_ == nullptr) {
-      out->status = Status::FailedPrecondition("serve: no GeoStore backend");
-      return;
-    }
-    auto res = store_->SpatialJoin(request.class_a, request.class_b,
-                                   request.relation, /*use_index=*/true);
-    if (!res.ok()) {
-      out->status = res.status();
-      return;
-    }
-    out->pairs = std::move(*res);
-    out->result_hash = HashPairs(out->pairs);
-  } else {
-    if (fed_ == nullptr) {
-      out->status = Status::FailedPrecondition("serve: no federation backend");
-      return;
-    }
-    fed::FederationOptions opt = options_.fed_options;
-    opt.priority = t.options.priority;
-    auto res = fed_->Execute(request.fed_query, opt);
-    if (!res.ok()) {
-      out->status = res.status();
-      return;
-    }
-    out->rows = std::move(*res);
-    out->result_hash = HashRows(out->rows);
-  }
-  out->status = Status::OK();
 }
 
 void QueryBroker::ExecuteSelectGroup(
@@ -483,7 +354,7 @@ std::vector<Response> QueryBroker::ExecuteWave(
     }
     tickets[i] = common::AdmissionTicket(&admission_);
     keys[i] = CacheKey{offered[i].tenant, offered[i].request.Fingerprint()};
-    if (CacheGet(keys[i], offered[i].request.type, &resp)) {
+    if (CacheGet(keys[i], &resp)) {
       tickets[i].Release();
       metrics.ok->Increment();
       t->cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -494,67 +365,47 @@ std::vector<Response> QueryBroker::ExecuteWave(
     execute[i] = 1;
   }
 
-  // 3. Group the wave's executable SpatialSelects into shared-traversal
-  // select groups (service order, groups of <= max_batch); joins and
-  // federated queries execute as singleton units.
-  struct Unit {
-    std::vector<size_t> members;  // wave indices
-    bool is_select_group = false;
-  };
-  std::vector<Unit> units;
-  {
-    Unit* open_select = nullptr;
-    for (size_t slot = 0; slot < order.size(); ++slot) {
-      const size_t i = order[slot];
-      if (!execute[i]) continue;
-      const Request& req = offered[i].request;
-      if (req.type == RequestType::kSpatialSelect) {
-        if (open_select == nullptr ||
-            open_select->members.size() >= options_.max_batch) {
-          units.push_back(Unit{{}, true});
-          open_select = &units.back();
-        }
-        open_select->members.push_back(i);
-      } else {
-        units.push_back(Unit{{i}, false});
-      }
+  // 3. Group the wave's executable selects into shared-traversal select
+  // groups: service order, groups of <= max_batch.
+  std::vector<std::vector<size_t>> groups;  // wave indices
+  for (size_t slot = 0; slot < order.size(); ++slot) {
+    const size_t i = order[slot];
+    if (!execute[i]) continue;
+    if (groups.empty() || groups.back().size() >= options_.max_batch) {
+      groups.emplace_back();
     }
+    groups.back().push_back(i);
   }
 
-  // 4. Execute the units — independent, so in parallel across the broker
-  // pool when configured. Each unit runs under the deadline of its first
-  // member's tenant (the first in service order: a group's leader) and
-  // stamps its members with its own wall time.
-  auto run_unit = [&](size_t u) {
-    const Unit& unit = units[u];
-    const Tenant& leader = *tenants_[offered[unit.members[0]].tenant];
+  // 4. Execute the groups — independent, so in parallel across the broker
+  // pool when configured. Each group runs under the deadline of its
+  // leader's tenant (its first member in service order) and stamps its
+  // members with its own wall time.
+  auto run_group = [&](size_t g) {
+    const std::vector<size_t>& members = groups[g];
+    const Tenant& leader = *tenants_[offered[members[0]].tenant];
     common::RequestContext rctx;
     if (leader.options.deadline_us > 0) {
       rctx.deadline = common::Deadline::FromNowUs(leader.options.deadline_us);
     }
     common::ScopedRequestContext scope(rctx);
     common::Stopwatch sw;
-    if (unit.is_select_group) {
-      std::vector<const Request*> reqs;
-      std::vector<Response*> resps;
-      reqs.reserve(unit.members.size());
-      resps.reserve(unit.members.size());
-      for (size_t i : unit.members) {
-        reqs.push_back(&offered[i].request);
-        resps.push_back(&responses[i]);
-      }
-      ExecuteSelectGroup(reqs, resps);
-    } else {
-      const size_t i = unit.members[0];
-      ExecuteSingle(leader, offered[i].request, &responses[i]);
+    std::vector<const Request*> reqs;
+    std::vector<Response*> resps;
+    reqs.reserve(members.size());
+    resps.reserve(members.size());
+    for (size_t i : members) {
+      reqs.push_back(&offered[i].request);
+      resps.push_back(&responses[i]);
     }
+    ExecuteSelectGroup(reqs, resps);
     const double us = sw.ElapsedMicros();
-    for (size_t i : unit.members) responses[i].latency_us = us;
+    for (size_t i : members) responses[i].latency_us = us;
   };
-  if (pool_ != nullptr && units.size() > 1) {
-    pool_->ParallelFor(units.size(), run_unit);
+  if (pool_ != nullptr && groups.size() > 1) {
+    pool_->ParallelFor(groups.size(), run_group);
   } else {
-    for (size_t u = 0; u < units.size(); ++u) run_unit(u);
+    for (size_t g = 0; g < groups.size(); ++g) run_group(g);
   }
 
   // 5. Account + fill the cache in service order (deterministic LRU), and
@@ -566,7 +417,7 @@ std::vector<Response> QueryBroker::ExecuteWave(
     metrics.request_latency_us->Observe(resp.latency_us);
     Tenant* t = tenant(offered[i].tenant);
     if (resp.status.ok()) {
-      CachePut(keys[i], offered[i].request.type, resp);
+      CachePut(keys[i], resp);
       metrics.ok->Increment();
       t->ok.fetch_add(1, std::memory_order_relaxed);
       if (resp.batch_size > 1) {

@@ -1,7 +1,7 @@
 // Multi-tenant query serving layer (ROADMAP item 1): the system's front
-// door. A QueryBroker accepts waves of concurrent typed requests
-// (SpatialSelect / SpatialJoin / federated BGP) from many tenants and
-// pushes each through a fixed pipeline:
+// door. A QueryBroker accepts waves of concurrent SpatialSelect requests
+// (a box and a spatial relation) from many tenants and pushes each
+// through a fixed pipeline:
 //
 //   quota -> admission -> cache -> batch -> execute -> cache fill
 //
@@ -12,24 +12,20 @@
 //                  broker-wide bounded queue with priority water lines;
 //                  the tenant's priority class decides who sheds first
 //                  under overload.
-//   * cache      — LRU result cache keyed by (tenant, query fingerprint).
-//                  Entries record the backing store's data_epoch() at fill
+//   * cache      — LRU result cache keyed by (tenant, box, relation).
+//                  Entries record the GeoStore's data_epoch() at fill
 //                  time; a GeoStore ingest bumps the epoch, so stale
 //                  entries invalidate themselves at next lookup (no stale
 //                  reads, ever). Tenants never share entries.
-//   * batch      — every executable SpatialSelect of a wave joins a select
-//                  group of up to max_batch members (service order), and
-//                  each group is answered by ONE shared traversal
+//   * batch      — every executable select of a wave joins a select group
+//                  of up to max_batch members (service order), and each
+//                  group is answered by ONE shared traversal
 //                  (GeoStore::SpatialSelectBatch) with per-request result
 //                  demux. max_batch = 1 is the unbatched ablation: one
-//                  traversal per request. Joins and federated requests
-//                  execute alone.
-//   * execute    — each unit (select group or single request) runs under
-//                  its tenant's deadline (ScopedRequestContext) — a group
-//                  under the deadline of its first member in service
-//                  order — and a "serve.batch" / "serve.request" trace
-//                  span; federated requests route to the FederationEngine
-//                  with the tenant's priority.
+//                  traversal per request.
+//   * execute    — each select group runs under the deadline of its first
+//                  member's tenant in service order
+//                  (ScopedRequestContext) and a "serve.batch" trace span.
 //
 // Fairness: ExecuteWave services admitted requests in weighted round-
 // robin order across tenants (weight w gets up to w consecutive slots per
@@ -58,51 +54,29 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/admission.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "fed/federation.h"
 #include "geo/geometry.h"
-#include "rdf/query.h"
 #include "strabon/geostore.h"
 
 namespace exearth::serve {
 
-/// What a request asks for.
-enum class RequestType {
-  kSpatialSelect = 0,
-  kSpatialJoin = 1,
-  kFederated = 2,
-};
-
-const char* RequestTypeToString(RequestType t);
-
-/// A typed serving request. Use the factories; Fingerprint() gives the
-/// cache/batch identity of the request content (tenant is keyed
+/// A serving request: the features whose geometry stands in `relation`
+/// to `box`. Fingerprint() gives its cache identity (tenant is keyed
 /// separately — two tenants issuing the same query never share a cache
 /// entry).
 struct Request {
-  RequestType type = RequestType::kSpatialSelect;
-  // kSpatialSelect
   geo::Box box;
   strabon::SpatialRelation relation = strabon::SpatialRelation::kIntersects;
-  // kSpatialJoin
-  std::string class_a, class_b;
-  // kFederated (query.filters are ignored, as in FederationEngine).
-  rdf::Query fed_query;
 
   static Request SpatialSelect(
       const geo::Box& box,
       strabon::SpatialRelation rel = strabon::SpatialRelation::kIntersects);
-  static Request SpatialJoin(
-      std::string class_a, std::string class_b,
-      strabon::SpatialRelation rel = strabon::SpatialRelation::kIntersects);
-  static Request Federated(rdf::Query query);
 
-  /// Deterministic content hash (FNV-1a over a canonical encoding).
+  /// Deterministic content hash (FNV-1a over the box and the relation).
   uint64_t Fingerprint() const;
 };
 
@@ -114,14 +88,11 @@ enum class ShedStage {
   kAdmission = 2,  // broker-wide admission queue
 };
 
-/// Outcome of one request. Exactly one of ids/pairs/rows is populated on
-/// success, matching the request type.
+/// Outcome of one request: the selected feature ids on success.
 struct Response {
   common::Status status;
   ShedStage shed = ShedStage::kNone;
-  std::vector<uint64_t> ids;                         // kSpatialSelect
-  std::vector<std::pair<uint64_t, uint64_t>> pairs;  // kSpatialJoin
-  std::vector<fed::FedBinding> rows;                 // kFederated
+  std::vector<uint64_t> ids;
 
   bool cache_hit = false;
   /// Served by a shared-traversal batch group of this many members
@@ -162,13 +133,10 @@ struct BrokerOptions {
   size_t max_batch = 64;
   /// Result-cache entries across all tenants; 0 disables caching.
   size_t cache_capacity = 4096;
-  /// Worker threads for executing independent units of one wave in
-  /// parallel (each unit may itself parallelize inside GeoStore). <= 1
-  /// executes units inline.
+  /// Worker threads for executing the select groups of one wave in
+  /// parallel (each group may itself parallelize inside GeoStore). <= 1
+  /// executes groups inline.
   size_t num_threads = 1;
-  /// Template options for broker-routed federated queries (priority is
-  /// overridden per tenant).
-  fed::FederationOptions fed_options;
 };
 
 /// One offered request of a wave: which tenant wants what.
@@ -204,10 +172,8 @@ class QueryBroker {
   QueryBroker(const QueryBroker&) = delete;
   QueryBroker& operator=(const QueryBroker&) = delete;
 
-  /// Backends (not owned; either may be null if the workload never routes
-  /// to it).
+  /// The GeoStore every select runs against (not owned).
   void set_store(const strabon::GeoStore* store) { store_ = store; }
-  void set_federation(const fed::FederationEngine* engine) { fed_ = engine; }
 
   /// Registers a tenant; the returned id names it in Offered requests.
   TenantId RegisterTenant(std::string name, TenantOptions options);
@@ -216,20 +182,12 @@ class QueryBroker {
 
   /// Serves a closed wave of concurrent requests at virtual time `now_us`:
   /// quota + admission + cache in weighted-fair service order, batch
-  /// grouping across the whole wave, unit execution (parallel across
+  /// grouping across the whole wave, group execution (parallel across
   /// options.num_threads), cache fill in service order. Deterministic:
   /// responses and every serve.* counter depend only on (wave, now_us,
   /// broker state).
   std::vector<Response> ExecuteWave(const std::vector<Offered>& offered,
                                     int64_t now_us);
-
-  /// Epoch the next federated cache entry will be tagged with; bump it
-  /// when federation endpoints ingest new data so cached federated
-  /// results invalidate (GeoStore-backed entries track
-  /// store->data_epoch() automatically).
-  void BumpFederatedEpoch() {
-    fed_epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   /// Entries currently cached (stale entries count until evicted).
   size_t cache_size() const;
@@ -256,8 +214,8 @@ class QueryBroker {
     return shutting_down_.load(std::memory_order_acquire);
   }
 
-  /// Readiness probe: OK when the broker can serve (at least one backend
-  /// registered and not shutting down).
+  /// Readiness probe: OK when the broker can serve (a store is set and
+  /// the broker is not shutting down).
   common::Status CheckReady() const;
 
  private:
@@ -301,25 +259,20 @@ class QueryBroker {
   };
   struct CacheEntry {
     CacheKey key;
-    RequestType type;
     uint64_t epoch;
     std::vector<uint64_t> ids;
-    std::vector<std::pair<uint64_t, uint64_t>> pairs;
-    std::vector<fed::FedBinding> rows;
     uint64_t result_hash = 0;
   };
 
   Tenant* tenant(TenantId id);
-  uint64_t EpochFor(RequestType type) const;
+  /// The store's data_epoch() (0 without a store): cache entries filled
+  /// under another epoch are stale.
+  uint64_t DataEpoch() const;
 
   /// Cache lookup; fills `out` and returns true on a fresh hit. Counts
   /// hits/misses/invalidations.
-  bool CacheGet(const CacheKey& key, RequestType type, Response* out);
-  void CachePut(const CacheKey& key, RequestType type, const Response& resp);
-
-  /// Runs one join or federated request against its backend (no
-  /// quota/admission/cache); fills results + hash.
-  void ExecuteSingle(const Tenant& t, const Request& request, Response* out);
+  bool CacheGet(const CacheKey& key, Response* out);
+  void CachePut(const CacheKey& key, const Response& resp);
 
   /// Executes a select group via one shared traversal and demuxes into
   /// the members' responses.
@@ -328,10 +281,8 @@ class QueryBroker {
 
   BrokerOptions options_;
   const strabon::GeoStore* store_ = nullptr;
-  const fed::FederationEngine* fed_ = nullptr;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   common::AdmissionController admission_;
-  std::atomic<uint64_t> fed_epoch_{0};
   std::atomic<bool> shutting_down_{false};
   SloTracker* slo_ = nullptr;
 

@@ -57,20 +57,13 @@ class Generator {
     // tenants and the tail trickles across the rest.
     uint64_t user = rng_.Zipf(std::max<uint64_t>(opt_.num_users, 1), opt_.zipf_s);
     o.tenant = tenants_[user % tenants_.size()];
-    double mix = rng_.NextDouble();
-    if (mix < opt_.join_fraction && !opt_.join_classes.empty()) {
-      const auto& [a, b] =
-          opt_.join_classes[rng_.Uniform(opt_.join_classes.size())];
-      o.request = Request::SpatialJoin(a, b);
-    } else if (mix < opt_.join_fraction + opt_.fed_fraction &&
-               !opt_.fed_queries.empty()) {
-      o.request = Request::Federated(
-          opt_.fed_queries[rng_.Uniform(opt_.fed_queries.size())]);
-    } else {
-      size_t idx = static_cast<size_t>(
-          rng_.Zipf(pool_.requests.size(), opt_.query_zipf_s));
-      o.request = pool_.requests[idx];
-    }
+    // A draw the request does not use: it keeps the seeded offered stream
+    // (tenants, query ranks, arrival times) that the E17 counters and
+    // result hashes are pinned to.
+    rng_.NextDouble();
+    size_t idx = static_cast<size_t>(
+        rng_.Zipf(pool_.requests.size(), opt_.query_zipf_s));
+    o.request = pool_.requests[idx];
     return o;
   }
 

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "geo/geometry.h"
-#include "rdf/query.h"
 #include "serve/broker.h"
 
 namespace exearth::serve {
@@ -76,14 +75,6 @@ struct LoadGenOptions {
   size_t query_pool = 256;
   /// Zipf exponent for query popularity within the pool.
   double query_zipf_s = 1.2;
-
-  // --- workload mix (fractions of offered requests; remainder = selects) ---
-  double join_fraction = 0.0;
-  double fed_fraction = 0.0;
-  /// Join class pairs to draw from when join_fraction > 0.
-  std::vector<std::pair<std::string, std::string>> join_classes;
-  /// Federated query pool to draw from when fed_fraction > 0.
-  std::vector<rdf::Query> fed_queries;
 
   // --- select geometry ---
   /// World the query boxes live in.

@@ -231,7 +231,7 @@ Status DiskStorageManager::ReadSuperblockLocked() {
 Result<PageId> DiskStorageManager::AllocatePage() {
   std::lock_guard<std::mutex> lock(mu_);
   PageMetrics::Get().allocs->Increment();
-  if (free_head_ != kInvalidPageId) {
+  if (free_count_ > 0 && free_head_ != kInvalidPageId) {
     // Pop the free-list head; a free page's payload stores the next id.
     PageId id = free_head_;
     char page[kPageSize];
@@ -246,6 +246,17 @@ Result<PageId> DiskStorageManager::AllocatePage() {
     }
     free_head_ = LoadU32(page + kPageHeaderSize);
     --free_count_;
+    // A crash between a checkpoint's page writes and its Sync can leave
+    // pages of the synced free list overwritten by a page chain, whose
+    // payload holds the chain's own next link at the same offset. A link
+    // past the count or outside the file ends the list; the pages left on
+    // it leak, as any crash may leak pages.
+    if (free_count_ == 0 ||
+        (free_head_ != kInvalidPageId &&
+         (free_head_ == 0 || free_head_ >= page_count_))) {
+      free_head_ = kInvalidPageId;
+      free_count_ = 0;
+    }
     return id;
   }
   return static_cast<PageId>(page_count_++);

@@ -3,8 +3,8 @@
 //
 // Covers, in order:
 //   * Deadline / CancelToken / ScopedRequestContext semantics,
-//   * AdmissionController water lines and age-based dequeue shedding,
-//   * ThreadPool::TrySubmit shed-at-enqueue and shed-at-dequeue,
+//   * AdmissionController water lines,
+//   * ThreadPool tasks adopting the submitter's request context,
 //   * GeoStore chunked queries under a deadline (the acceptance test: a
 //     1 ms-deadline query against a workload that takes orders of
 //     magnitude longer serially returns DeadlineExceeded promptly with
@@ -12,16 +12,11 @@
 //   * federation deadline propagation + admission shedding,
 //   * scheduler ready-queue shedding and cancel-drain,
 //   * ingestion backlog shedding and cancellation,
-//   * distributed training and HopsFS transactions under a deadline,
-//   * a deterministic overload chaos test: 5x queue capacity offered,
-//     excess shed with ResourceExhausted, no task lost or run twice,
-//     and accepted-task p99 stays within 2x the uncontended p99.
+//   * distributed training and HopsFS transactions under a deadline.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
@@ -223,23 +218,6 @@ TEST(AdmissionControllerTest, TinyQueueLeavesLowClassesWithZeroSlots) {
   ctrl.Finish();
 }
 
-TEST(AdmissionControllerTest, AgeShedAtDequeue) {
-  common::AdmissionOptions opt;
-  opt.max_depth = 4;
-  opt.max_queue_age_us = 1000;
-  common::AdmissionController ctrl("test.age", opt);
-  ASSERT_TRUE(ctrl.TryAdmit(common::Priority::kInteractive).ok());
-  // Sat in line for 10 ms (simulated): doomed, shed at dequeue.
-  EXPECT_TRUE(
-      ctrl.StartQueued(Clock::now() - std::chrono::milliseconds(10))
-          .IsResourceExhausted());
-  // Fresh work proceeds. The slot is held until Finish either way.
-  EXPECT_TRUE(ctrl.StartQueued(Clock::now()).ok());
-  EXPECT_EQ(ctrl.depth(), 1u);
-  ctrl.Finish();
-  EXPECT_EQ(ctrl.depth(), 0u);
-}
-
 TEST(AdmissionTicketTest, ReleasesOnDestructionAndMove) {
   common::AdmissionOptions opt;
   opt.max_depth = 2;
@@ -254,102 +232,7 @@ TEST(AdmissionTicketTest, ReleasesOnDestructionAndMove) {
   EXPECT_EQ(ctrl.depth(), 0u);
 }
 
-// --- ThreadPool admission ----------------------------------------------
-
-// Occupies every pool worker until Release(). StartedAll() confirms the
-// blockers are actually running (not queued), making shed counts exact.
-class PoolGate {
- public:
-  explicit PoolGate(common::ThreadPool* pool) : pool_(pool) {
-    std::shared_future<void> gate(release_.get_future());
-    for (size_t i = 0; i < pool->num_threads(); ++i) {
-      blockers_.push_back(pool->Submit([this, gate] {
-        started_.fetch_add(1);
-        gate.wait();
-      }));
-    }
-  }
-  void AwaitStarted() {
-    while (started_.load() < pool_->num_threads()) std::this_thread::yield();
-  }
-  void Release() {
-    if (!released_) {
-      released_ = true;
-      release_.set_value();
-      for (auto& f : blockers_) f.wait();
-    }
-  }
-  ~PoolGate() { Release(); }
-
- private:
-  common::ThreadPool* pool_;
-  std::promise<void> release_;
-  std::atomic<size_t> started_{0};
-  std::vector<std::future<void>> blockers_;
-  bool released_ = false;
-};
-
-TEST(ThreadPoolOverloadTest, TrySubmitShedsAtEnqueueWhenQueueFull) {
-  common::AdmissionOptions opt;
-  opt.max_depth = 2;
-  common::AdmissionController ctrl("test.pool_shed", opt);
-  common::ThreadPool pool(2);
-  pool.set_admission_controller(&ctrl);
-
-  PoolGate gate(&pool);
-  gate.AwaitStarted();
-
-  std::atomic<int> ran{0};
-  std::vector<std::future<common::Status>> accepted;
-  for (int i = 0; i < 2; ++i) {
-    auto r = pool.TrySubmit([&] { ran.fetch_add(1); },
-                            common::Priority::kInteractive);
-    ASSERT_TRUE(r.ok()) << r.status();
-    accepted.push_back(std::move(*r));
-  }
-  // Queue full for every class: shed without running.
-  auto shed = pool.TrySubmit([&] { ran.fetch_add(1); },
-                             common::Priority::kInteractive);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.status().IsResourceExhausted());
-
-  gate.Release();
-  for (auto& f : accepted) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(ran.load(), 2);
-  pool.set_admission_controller(nullptr);
-}
-
-TEST(ThreadPoolOverloadTest, TrySubmitShedsAgedOutWorkAtDequeue) {
-  common::AdmissionOptions opt;
-  opt.max_depth = 4;
-  opt.max_queue_age_us = 1000;
-  common::AdmissionController ctrl("test.pool_age", opt);
-  common::ThreadPool pool(1);
-  pool.set_admission_controller(&ctrl);
-
-  std::atomic<int> ran{0};
-  std::future<common::Status> fut;
-  {
-    PoolGate gate(&pool);
-    gate.AwaitStarted();
-    auto r = pool.TrySubmit([&] { ran.fetch_add(1); },
-                            common::Priority::kInteractive);
-    ASSERT_TRUE(r.ok()) << r.status();
-    fut = std::move(*r);
-    // Let the queued task age well past the 1 ms limit, then unblock.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  common::Status s = fut.get();
-  EXPECT_TRUE(s.IsResourceExhausted()) << s;
-  EXPECT_EQ(ran.load(), 0);  // the aged-out closure never ran
-  // The slot is released when the worker destroys the task closure,
-  // which can land just after the future is fulfilled — wait for it.
-  for (int i = 0; i < 2000 && ctrl.depth() != 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(ctrl.depth(), 0u);
-  pool.set_admission_controller(nullptr);
-}
+// --- ThreadPool ---------------------------------------------------------
 
 TEST(ThreadPoolOverloadTest, SubmitCapturesTheRequestContext) {
   common::ThreadPool pool(1);
@@ -822,123 +705,6 @@ TEST(DfsOverloadTest, TransactionsObserveTheRequestDeadline) {
   }
   // The context is scoped: once it unwinds, transactions run again.
   EXPECT_TRUE(nn.Mkdir("/after").ok());
-}
-
-// --- Overload chaos: 5x capacity, deterministic shed accounting ---------
-
-TEST(OverloadChaosTest, FiveTimesCapacityShedsExcessAndKeepsGoodput) {
-  auto& inj = common::FaultInjector::Default();
-  inj.Reset();
-  inj.set_seed(42);
-  // Latency-only fault: every task costs a fixed 2 ms of wall clock, so
-  // "work" is identical across runs and platforms.
-  ASSERT_TRUE(inj.ProgramSpec("overload.chaos.task:1.0@2ms=ok").ok());
-
-  constexpr size_t kWorkers = 4;
-  constexpr size_t kCapacity = 4;
-  constexpr int kOffered = 20;  // 5x the queue capacity
-  common::AdmissionOptions adm;
-  adm.max_depth = kCapacity;
-  common::AdmissionController ctrl("test.chaos", adm);
-  common::ThreadPool pool(kWorkers);
-  pool.set_admission_controller(&ctrl);
-
-  // Phase A — the shed ledger. With every worker blocked, admission
-  // outcomes are a pure function of the queue bound: exactly kCapacity
-  // of the kOffered submissions are admitted, the rest shed. No timing
-  // races, so the counts are byte-identical run to run.
-  std::array<std::atomic<int>, kOffered> executions{};
-  std::array<common::Status, kOffered> task_status;
-  std::vector<std::future<common::Status>> accepted;
-  int shed_count = 0;
-  {
-    PoolGate gate(&pool);
-    gate.AwaitStarted();
-    for (int i = 0; i < kOffered; ++i) {
-      auto r = pool.TrySubmit(
-          [&, i] {
-            task_status[i] = common::fault::MaybeFail("overload.chaos.task");
-            executions[i].fetch_add(1);
-          },
-          common::Priority::kInteractive);
-      if (r.ok()) {
-        accepted.push_back(std::move(*r));
-      } else {
-        EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
-        ++shed_count;
-      }
-    }
-  }
-  ASSERT_EQ(accepted.size(), kCapacity);
-  EXPECT_EQ(shed_count, kOffered - static_cast<int>(kCapacity));
-  EXPECT_EQ(ctrl.admitted(), kCapacity);
-  EXPECT_EQ(ctrl.shed(), static_cast<uint64_t>(shed_count));
-  for (auto& f : accepted) EXPECT_TRUE(f.get().ok());
-  // No work lost, none double-executed: each accepted task ran exactly
-  // once (and reported its injected-fault outcome as OK), each shed task
-  // never ran.
-  int total_runs = 0;
-  for (int i = 0; i < kOffered; ++i) {
-    const int runs = executions[i].load();
-    EXPECT_LE(runs, 1) << "task " << i << " double-executed";
-    if (runs == 1) EXPECT_TRUE(task_status[i].ok()) << task_status[i];
-    total_runs += runs;
-  }
-  EXPECT_EQ(total_runs, static_cast<int>(kCapacity));
-
-  // Phase B — goodput under sustained overload. Offer work continuously
-  // (retrying sheds), so the queue stays saturated; because shedding
-  // keeps the line short, the latency of *accepted* work stays within
-  // 2x the uncontended latency (plus a small dispatch-noise allowance
-  // for sanitizer builds).
-  auto run_task = [&](int slot) {
-    return [&, slot] {
-      task_status[0] = common::fault::MaybeFail("overload.chaos.task");
-      (void)slot;
-    };
-  };
-  int64_t uncontended_p99 = 0;
-  for (int i = 0; i < 8; ++i) {
-    Clock::time_point t0 = Clock::now();
-    auto r = pool.TrySubmit(run_task(i), common::Priority::kInteractive);
-    ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_TRUE(r->get().ok());
-    uncontended_p99 = std::max(uncontended_p99, UsSince(t0));
-  }
-
-  constexpr int kContended = 16;
-  std::array<Clock::time_point, kContended> submitted;
-  std::array<std::atomic<int64_t>, kContended> finished_us{};
-  std::vector<std::future<common::Status>> inflight;
-  for (int i = 0; i < kContended; ++i) {
-    for (;;) {
-      submitted[i] = Clock::now();
-      auto r = pool.TrySubmit(
-          [&, i] {
-            common::Status s = common::fault::MaybeFail("overload.chaos.task");
-            EXPECT_TRUE(s.ok()) << s;
-            finished_us[i].store(UsSince(submitted[i]));
-          },
-          common::Priority::kInteractive);
-      if (r.ok()) {
-        inflight.push_back(std::move(*r));
-        break;
-      }
-      EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
-      std::this_thread::yield();
-    }
-  }
-  for (auto& f : inflight) EXPECT_TRUE(f.get().ok());
-  int64_t contended_p99 = 0;
-  for (int i = 0; i < kContended; ++i) {
-    contended_p99 = std::max(contended_p99, finished_us[i].load());
-  }
-  EXPECT_LE(contended_p99, 2 * uncontended_p99 + 3000)
-      << "accepted-work p99 " << contended_p99
-      << " us blew past 2x the uncontended p99 " << uncontended_p99 << " us";
-
-  pool.set_admission_controller(nullptr);
-  inj.Reset();
 }
 
 }  // namespace

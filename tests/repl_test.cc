@@ -14,9 +14,8 @@
 //      its catch-up suffix, every replica reopens at the same LSNs, and
 //      the kill-leader drill holds its laws across a checkpoint.
 //   5. The integrations: HopsFS metadata over the sharded store with
-//      per-shard inode-id ranges, follower replicas as federation read
-//      endpoints (partial_ok + degraded_sources), and the /shardz +
-//      Prometheus admin surface.
+//      per-shard inode-id ranges, and the /shardz + Prometheus admin
+//      surface.
 
 #include <algorithm>
 #include <cstdint>
@@ -36,12 +35,8 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "dfs/hopsfs.h"
-#include "fed/federation.h"
 #include "kv/meta_store.h"
-#include "rdf/query.h"
-#include "rdf/term.h"
 #include "repl/admin_hooks.h"
-#include "repl/fed_endpoint.h"
 #include "repl/replicated_store.h"
 
 namespace exearth::repl {
@@ -265,6 +260,44 @@ TEST_F(ReplTest, ChannelDropCausesLagThenCatchup) {
   auto caught_up = store->ReadReplica(0, 1, "k1");
   ASSERT_TRUE(caught_up.ok());
   EXPECT_EQ(*caught_up, "v1");
+}
+
+TEST_F(ReplTest, ShardLogHoldsOnlyWhatALiveFollowerLacks) {
+  ReplOptions opt;
+  opt.num_shards = 1;
+  opt.followers_per_shard = 2;
+  opt.write_quorum = 1;
+  auto store = OpenOrDie(opt);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(store->Put(common::StrFormat("a%02d", i), "v").ok());
+  }
+  EXPECT_EQ(store->StatusSnapshot()[0].log_records, 0u);  // caught up
+  // Each commit ships to follower 1, then follower 2: drop follower 1's
+  // batch of three commits (a put and a commit marker each).
+  FaultRule rule;
+  rule.fail_calls = {1, 3, 5};
+  FaultInjector::Default().Program("repl.channel.send", rule);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store->Put(common::StrFormat("b%02d", i), "v").ok());
+  }
+  ShardStatus shard = store->StatusSnapshot()[0];
+  EXPECT_EQ(shard.replicas[1].lag_frames, 6u);
+  EXPECT_EQ(shard.log_records, 6u);
+  // The next commit catches follower 1 up; nothing is left to hold.
+  ASSERT_TRUE(store->Put("c", "v").ok());
+  EXPECT_EQ(store->StatusSnapshot()[0].log_records, 0u);
+  EXPECT_EQ(store->repl_stats().catchup_records, 6u);
+  EXPECT_EQ(*store->ReadReplica(0, 1, "b02"), "v");
+
+  // With no follower there is nobody to catch up.
+  ReplOptions single;
+  single.followers_per_shard = 0;
+  single.write_quorum = 0;
+  auto alone = OpenOrDie(single);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(alone->Put(common::StrFormat("a%02d", i), "v").ok());
+  }
+  EXPECT_EQ(alone->StatusSnapshot()[0].log_records, 0u);
 }
 
 TEST_F(ReplTest, CorruptedChannelBatchIsRejectedByFrameScan) {
@@ -757,66 +790,6 @@ TEST_F(ReplTest, HopsFsOnReplicatedStoreSurvivesRestartWithoutIdCollisions) {
         << path << ": resumed allocator re-issued inode id "
         << info->inode_id;
   }
-}
-
-TEST_F(ReplTest, FollowerReplicasServeFederatedReads) {
-  ReplOptions opt;
-  opt.num_shards = 2;
-  opt.followers_per_shard = 1;
-  auto store = OpenOrDie(opt);
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(
-        store->Put(common::StrFormat("fk%02d", i), "fv" +
-                   std::to_string(i)).ok());
-  }
-  // One endpoint per shard, each backed by the shard's follower: a
-  // disjoint scatter view of the keyspace that never touches a leader.
-  ReplicaReadEndpoint e0(store.get(), 0, 1);
-  ReplicaReadEndpoint e1(store.get(), 1, 1);
-  EXPECT_EQ(e0.name(), "repl-s0r1");
-  EXPECT_TRUE(e0.Advertises(kRowPredicate));
-  fed::FederationEngine fed;
-  fed.Register(&e0);
-  fed.Register(&e1);
-
-  rdf::Query query;
-  query.where.push_back(rdf::TriplePattern{
-      rdf::PatternSlot::Var("k"), rdf::PatternSlot::Iri(kRowPredicate),
-      rdf::PatternSlot::Var("v")});
-  fed::FederationOptions fopt;
-  fed::FederationStats stats;
-  auto rows = fed.Execute(query, fopt, {}, nullptr, &stats);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 24u);
-  EXPECT_EQ(stats.endpoints_contacted, 2u);
-  std::set<std::string> keys;
-  for (const fed::FedBinding& row : *rows) {
-    keys.insert(row.at("k").value);
-    EXPECT_EQ(row.at("v").value.substr(0, 2), "fv");
-  }
-  EXPECT_EQ(keys.size(), 24u);
-
-  // Point lookup: constant subject resolves on exactly one shard.
-  rdf::Query point;
-  point.where.push_back(rdf::TriplePattern{
-      rdf::PatternSlot::Of(rdf::Term::Literal("fk07")),
-      rdf::PatternSlot::Iri(kRowPredicate), rdf::PatternSlot::Var("v")});
-  auto one = fed.Execute(point, fopt, {}, nullptr, &stats);
-  ASSERT_TRUE(one.ok());
-  ASSERT_EQ(one->size(), 1u);
-  EXPECT_EQ(one->at(0).at("v").value, "fv7");
-
-  // A crashed follower flows through the standard partial_ok machinery:
-  // the query survives on the surviving shard and names the lost source.
-  store->CrashReplica(0, 1);
-  fopt.partial_ok = true;
-  fed::FederationStats degraded;
-  auto partial = fed.Execute(query, fopt, {}, nullptr, &degraded);
-  ASSERT_TRUE(partial.ok());
-  EXPECT_LT(partial->size(), 24u);
-  EXPECT_TRUE(degraded.partial);
-  ASSERT_EQ(degraded.degraded_sources.size(), 1u);
-  EXPECT_EQ(degraded.degraded_sources[0], "repl-s0r1");
 }
 
 TEST_F(ReplTest, ShardzAndPrometheusExposeRolesLagAndElections) {

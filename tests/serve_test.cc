@@ -9,8 +9,9 @@
 //     deterministic WRR bound (W_total / w_victim) * k + W_total;
 //   * quotas and admission shed with ResourceExhausted, tagged with which
 //     stage shed (quota vs admission);
-//   * the result cache never serves stale reads: a GeoStore ingest (or a
-//     federated-epoch bump) invalidates affected entries at next lookup;
+//   * the result cache never serves stale reads: a GeoStore ingest
+//     invalidates affected entries at next lookup, and an entry answers
+//     only its own box and relation;
 //   * a tenant's deadline binds its selects whether they run batched or
 //     alone;
 //   * waves executed across the broker's worker pool agree with serial
@@ -23,9 +24,7 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "fed/federation.h"
 #include "geo/geometry.h"
-#include "rdf/query.h"
 #include "serve/broker.h"
 #include "serve/loadgen.h"
 #include "strabon/geostore.h"
@@ -46,6 +45,7 @@ using eea::serve::Response;
 using eea::serve::ShedStage;
 using eea::serve::TenantId;
 using eea::serve::TenantOptions;
+using eea::strabon::SpatialRelation;
 
 // A 10x10 grid of points on integer coordinates in [0, 10)^2.
 std::unique_ptr<eea::strabon::GeoStore> GridStore() {
@@ -303,35 +303,41 @@ TEST(ServeCache, TenantsNeverShareEntries) {
   EXPECT_TRUE(again[1].cache_hit);
 }
 
-TEST(ServeCache, FederatedEpochBumpInvalidates) {
-  eea::rdf::TripleStore crops;
-  crops.Add(eea::rdf::Term::Iri("http://x/f1"),
-            eea::rdf::Term::Iri("http://x/cropType"),
-            eea::rdf::Term::Literal("rapeseed"));
-  eea::fed::Endpoint endpoint("crops", std::move(crops));
-  eea::fed::FederationEngine engine;
-  engine.Register(&endpoint);
-
+TEST(ServeCache, KeyCoversBoxAndRelation) {
+  // One box under two relations is two queries: the grid points inside
+  // the box intersect it, but only the region around it contains it.
+  auto store = GridStore();
+  eea::geo::Polygon region;
+  region.outer.points = {
+      {0.2, 0.2}, {4.8, 0.2}, {4.8, 4.8}, {0.2, 4.8}, {0.2, 0.2}};
+  store->AddFeature("http://x/region", Geometry(region));
+  ASSERT_TRUE(store->Build().ok());
   QueryBroker broker;
-  broker.set_federation(&engine);
+  broker.set_store(store.get());
   TenantId t = broker.RegisterTenant("t", Unlimited());
-  eea::rdf::Query q;
-  q.where.push_back(eea::rdf::TriplePattern{
-      eea::rdf::PatternSlot::Var("f"),
-      eea::rdf::PatternSlot::Iri("http://x/cropType"),
-      eea::rdf::PatternSlot::Of(eea::rdf::Term::Literal("rapeseed"))});
-  const Request query = Request::Federated(q);
+  const Box box{0.5, 0.5, 3.5, 3.5};
+  const Request intersects =
+      Request::SpatialSelect(box, SpatialRelation::kIntersects);
+  const Request contains =
+      Request::SpatialSelect(box, SpatialRelation::kContains);
 
-  auto first = broker.ExecuteWave({{t, query}}, 1000);
-  ASSERT_TRUE(first[0].status.ok()) << first[0].status.ToString();
-  ASSERT_EQ(first[0].rows.size(), 1u);
-  auto second = broker.ExecuteWave({{t, query}}, 2000);
-  EXPECT_TRUE(second[0].cache_hit);
+  auto first = broker.ExecuteWave({{t, intersects}, {t, contains}}, 1000);
+  ASSERT_TRUE(first[0].status.ok());
+  ASSERT_TRUE(first[1].status.ok());
+  EXPECT_FALSE(first[0].cache_hit);
+  EXPECT_FALSE(first[1].cache_hit);
+  EXPECT_EQ(first[0].ids.size(), 10u);  // 3x3 points + the region
+  EXPECT_EQ(first[1].ids.size(), 1u);   // the region alone
+  EXPECT_EQ(broker.cache_size(), 2u);
 
-  broker.BumpFederatedEpoch();  // "endpoints ingested new data"
-  auto third = broker.ExecuteWave({{t, query}}, 3000);
-  ASSERT_TRUE(third[0].status.ok());
-  EXPECT_FALSE(third[0].cache_hit);
+  auto again_intersects = broker.ExecuteWave({{t, intersects}}, 2000);
+  ASSERT_TRUE(again_intersects[0].status.ok());
+  EXPECT_TRUE(again_intersects[0].cache_hit);
+  EXPECT_EQ(again_intersects[0].ids, first[0].ids);
+  auto again_contains = broker.ExecuteWave({{t, contains}}, 3000);
+  ASSERT_TRUE(again_contains[0].status.ok());
+  EXPECT_TRUE(again_contains[0].cache_hit);
+  EXPECT_EQ(again_contains[0].ids, first[1].ids);
 }
 
 // --- determinism ------------------------------------------------------------

@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -904,6 +905,132 @@ TEST_F(StorageRecoveryTest, FreeListCrashWindowNeverDoubleAllocatesLivePages) {
     ASSERT_TRUE(v.ok()) << "row fl|" << i << " lost to a double allocation";
     EXPECT_EQ(v.value(), StrFormat("v2-%d-", i) + pad_b);
   }
+}
+
+// Forwards to a DiskStorageManager and fails the test when a page id is
+// handed out twice, or at or past the page count in force once it is
+// handed out.
+class AllocationAudit : public storage::IStorageManager {
+ public:
+  explicit AllocationAudit(DiskStorageManager* disk) : disk_(disk) {}
+
+  common::Result<PageId> AllocatePage() override {
+    auto id = disk_->AllocatePage();
+    if (id.ok()) {
+      EXPECT_LT(*id, disk_->page_count()) << "page " << *id << " is past EOF";
+      EXPECT_TRUE(live_.insert(*id).second)
+          << "page " << *id << " handed out twice";
+    }
+    return id;
+  }
+  Status FreePage(PageId id) override {
+    live_.erase(id);
+    return disk_->FreePage(id);
+  }
+  Status ReadPage(PageId id, char* buf) override {
+    return disk_->ReadPage(id, buf);
+  }
+  Status WritePage(PageId id, char* buf, uint64_t lsn) override {
+    return disk_->WritePage(id, buf, lsn);
+  }
+  Status Sync() override { return disk_->Sync(); }
+  common::Result<std::string> ReadMeta() override { return disk_->ReadMeta(); }
+  Status WriteMeta(const std::string& meta) override {
+    return disk_->WriteMeta(meta);
+  }
+  uint32_t page_count() const override { return disk_->page_count(); }
+  uint32_t free_pages() const override { return disk_->free_pages(); }
+  const char* name() const override { return "audit"; }
+
+ private:
+  DiskStorageManager* disk_;
+  std::set<PageId> live_;
+};
+
+// An image of exactly `pages` chain pages, every byte `fill`.
+std::string ImageBytes(size_t pages, char fill) {
+  return std::string(pages * storage::kChainDataPerPage, fill);
+}
+
+// A checkpoint as the replicas take one: write the chain, flush, sync,
+// flip the meta slot to it, then free the previous image's chain.
+PageId CheckpointImage(BufferPool* pool, storage::IStorageManager* disk,
+                       const std::string& image, PageId old_head) {
+  storage::PageChainWriter writer(pool, 1);
+  EXPECT_TRUE(writer.Write(image.data(), image.size()).ok());
+  auto head = writer.Finish();
+  EXPECT_TRUE(head.ok());
+  EXPECT_TRUE(pool->FlushAll().ok());
+  EXPECT_TRUE(disk->Sync().ok());
+  EXPECT_TRUE(disk->WriteMeta(StrFormat("img %u", *head)).ok());
+  if (old_head != storage::kInvalidPageId) {
+    EXPECT_TRUE(storage::FreeChain(pool, old_head).ok());
+  }
+  return *head;
+}
+
+std::string ReadImage(BufferPool* pool, storage::IStorageManager* disk,
+                      size_t bytes) {
+  auto meta = disk->ReadMeta();
+  EXPECT_TRUE(meta.ok());
+  unsigned int head = 0;
+  EXPECT_EQ(std::sscanf(meta->c_str(), "img %u", &head), 1) << *meta;
+  storage::PageChainReader reader(pool, head);
+  std::string out(bytes, '\0');
+  EXPECT_TRUE(reader.Read(out.data(), bytes).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  return out;
+}
+
+TEST_F(StorageRecoveryTest, FreeListSurvivesCrashBetweenFlushAndSync) {
+  // A checkpoint's FlushAll may overwrite pages that the last synced
+  // superblock still lists as free; a crash before its Sync then reopens
+  // a free list whose links are the dead chain's own links. The reopened
+  // allocator must end that list rather than follow the chain past the
+  // file, and it must never hand out a page of the live image.
+  TempDir dir;
+  TempDir crash;
+  const std::string live = ImageBytes(2, 'c');
+  {
+    auto opened = DiskStorageManager::Open(dir.File("img.pages"));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto disk = std::move(opened).value();
+    BufferPool pool(disk.get(), 64);
+    PageId head = CheckpointImage(&pool, disk.get(), ImageBytes(8, 'a'),
+                                  storage::kInvalidPageId);
+    head = CheckpointImage(&pool, disk.get(), ImageBytes(2, 'b'), head);
+    CheckpointImage(&pool, disk.get(), live, head);
+    ASSERT_GT(disk->free_pages(), 0u);
+    // The crash: a 12-page image reaches the file, its Sync never runs.
+    storage::PageChainWriter writer(&pool, 1);
+    const std::string doomed = ImageBytes(12, 'd');
+    ASSERT_TRUE(writer.Write(doomed.data(), doomed.size()).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE(std::filesystem::copy_file(dir.File("img.pages"),
+                                           crash.File("img.pages")));
+  }
+  const std::string next = ImageBytes(12, 'e');
+  {
+    auto opened = DiskStorageManager::Open(crash.File("img.pages"));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto disk = std::move(opened).value();
+    AllocationAudit audit(disk.get());
+    BufferPool pool(&audit, 64);
+    EXPECT_EQ(ReadImage(&pool, &audit, live.size()), live);
+    storage::PageChainWriter writer(&pool, 2);
+    ASSERT_TRUE(writer.Write(next.data(), next.size()).ok());
+    auto head = writer.Finish();
+    ASSERT_TRUE(head.ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE(audit.Sync().ok());
+    ASSERT_TRUE(audit.WriteMeta(StrFormat("img %u", *head)).ok());
+  }
+  auto opened = DiskStorageManager::Open(crash.File("img.pages"));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto disk = std::move(opened).value();
+  BufferPool pool(disk.get(), 64);
+  EXPECT_EQ(ReadImage(&pool, disk.get(), next.size()), next);
 }
 
 // --- Randomized torture: model-checked Put/Delete/Checkpoint/reopen ----------
